@@ -1,9 +1,12 @@
 // Microbenchmarks (google-benchmark) for the performance-critical kernels:
-// the cycle simulator, the power analyzer, the SGFormer encoder forward pass
-// (the dominant cost of ATLAS inference) and GBDT prediction. These are the
-// numbers to watch when optimizing the Table IV "Infer" column.
+// the cycle simulator, the power analyzer, the fused SGFormer encoder that
+// inference runs (forward_fused, and core::encode_batch around it — the
+// dominant cost of ATLAS inference) and the GBDT heads' batched traversal
+// (predict_rows). These are the numbers to watch when optimizing the
+// Table IV "Infer" column.
 #include <benchmark/benchmark.h>
 
+#include "atlas/model.h"
 #include "designgen/design_generator.h"
 #include "graph/submodule_graph.h"
 #include "liberty/library.h"
@@ -14,6 +17,7 @@
 #include "power/power_analyzer.h"
 #include "sim/simulator.h"
 #include "transform/rewrite.h"
+#include "util/arena.h"
 #include "util/parallel.h"
 
 namespace {
@@ -101,30 +105,67 @@ void BM_LogicRewrite(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicRewrite);
 
-void BM_SgFormerForward(benchmark::State& state) {
-  // Synthetic chain graph of the requested size with ATLAS feature width.
+void BM_SgFormerForwardFused(benchmark::State& state) {
+  // A block of 16 synthetic chain graphs of the requested size with ATLAS
+  // feature width, packed as forward_fused sees one encode_batch row block.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSegments = 16;
   util::Rng rng(5);
-  ml::Matrix feats = ml::Matrix::randn(n, graph::kFeatureDim, rng, 1.0f);
+  ml::Matrix feats =
+      ml::Matrix::randn(kSegments * n, graph::kFeatureDim, rng, 1.0f);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   for (std::uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  ml::GraphView view;
-  view.num_nodes = n;
-  view.feat_dim = graph::kFeatureDim;
-  view.features = feats.data();
-  view.edges = &edges;
+  const ml::SgFormer::NormAdjacency adj =
+      ml::SgFormer::build_norm_adjacency(n, &edges);
+  const std::vector<ml::SgFormer::Segment> segs(kSegments, {n, &adj});
   ml::SgFormer::Config cfg;
   cfg.in_dim = graph::kFeatureDim;
   cfg.dim = 32;
   ml::SgFormer enc(cfg);
+  std::vector<float> out(kSegments * cfg.dim);
+  util::Arena arena;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.forward(view));
+    const util::Arena::Marker m = arena.mark();
+    enc.forward_fused(segs.data(), segs.size(), feats.data(), out.data(),
+                      arena);
+    arena.rewind(m);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(kSegments * n));
 }
-BENCHMARK(BM_SgFormerForward)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+// Wall-clock rates: the kernels fan out over the thread pool.
+BENCHMARK(BM_SgFormerForwardFused)->Arg(64)->Arg(256)->Arg(1024)->UseRealTime();
 
-void BM_GbdtPredict(benchmark::State& state) {
+void BM_EncodeBatch(benchmark::State& state) {
+  // The whole inference encoder on a real design: every (sub-module,
+  // cycle) of a W1 trace through core::encode_batch. Items = encoded
+  // (sub-module, cycle) embeddings.
+  const netlist::Netlist& nl = design();
+  const std::vector<graph::SubmoduleGraph> graphs =
+      graph::build_submodule_graphs(nl);
+  const int cycles = static_cast<int>(state.range(0));
+  sim::CycleSimulator sim(nl);
+  sim::StimulusGenerator stim(nl, sim::make_w1());
+  const sim::ToggleTrace trace = sim.run(stim, cycles);
+  ml::SgFormer::Config cfg;
+  cfg.in_dim = graph::kFeatureDim;
+  cfg.dim = 32;
+  const ml::SgFormer enc(cfg);
+  util::Arena arena;
+  for (auto _ : state) {
+    core::DesignEmbeddings emb;
+    const core::EncodeItem item{&nl, &graphs, &trace, &emb};
+    core::encode_batch(enc, &item, 1, arena);
+    benchmark::DoNotOptimize(emb.graphs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * cycles *
+                          static_cast<long>(graphs.size()));
+}
+BENCHMARK(BM_EncodeBatch)->Arg(50)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_GbdtPredictRows(benchmark::State& state) {
   util::Rng rng(7);
   const std::size_t n = 2000;
   ml::Matrix x(n, 35);
@@ -137,14 +178,15 @@ void BM_GbdtPredict(benchmark::State& state) {
   cfg.n_trees = 300;
   ml::GbdtRegressor model(cfg);
   model.fit(x, y);
+  std::vector<double> out(n);
   for (auto _ : state) {
-    double acc = 0;
-    for (std::size_t i = 0; i < n; ++i) acc += model.predict_row(x.row(i));
-    benchmark::DoNotOptimize(acc);
+    model.predict_rows(x.data(), n, x.cols(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
-BENCHMARK(BM_GbdtPredict);
+BENCHMARK(BM_GbdtPredictRows);
 
 void BM_SubmoduleGraphBuild(benchmark::State& state) {
   const netlist::Netlist& nl = design();

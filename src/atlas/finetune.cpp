@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "atlas/model.h"
+#include "util/arena.h"
+
 namespace atlas::core {
 
 using graph::SubmoduleGraph;
@@ -85,24 +88,24 @@ std::size_t ct_dim(std::size_t d) { return d; }
 std::size_t comb_dim(std::size_t d) { return d + 3; }
 std::size_t reg_dim(std::size_t d) { return d + 3; }
 
-void fill_ct_row(const Matrix& emb, float* row) {
-  std::copy(emb.row(0), emb.row(0) + emb.cols(), row);
+void fill_ct_row(const float* emb, std::size_t d, float* row) {
+  std::copy(emb, emb + d, row);
 }
 
-void fill_comb_row(const Matrix& emb, const SubmoduleStatic& st,
+void fill_comb_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                    const CycleExtras& ex, float* row) {
-  std::copy(emb.row(0), emb.row(0) + emb.cols(), row);
-  row[emb.cols()] = static_cast<float>(st.n_comb);
-  row[emb.cols() + 1] = ex.i_comb;
-  row[emb.cols() + 2] = ex.c_comb;
+  std::copy(emb, emb + d, row);
+  row[d] = static_cast<float>(st.n_comb);
+  row[d + 1] = ex.i_comb;
+  row[d + 2] = ex.c_comb;
 }
 
-void fill_reg_row(const Matrix& emb, const SubmoduleStatic& st,
+void fill_reg_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                   const CycleExtras& ex, float* row) {
-  std::copy(emb.row(0), emb.row(0) + emb.cols(), row);
-  row[emb.cols()] = static_cast<float>(st.n_reg);
-  row[emb.cols() + 1] = ex.i_reg;
-  row[emb.cols() + 2] = ex.c_reg;
+  std::copy(emb, emb + d, row);
+  row[d] = static_cast<float>(st.n_reg);
+  row[d + 1] = ex.i_reg;
+  row[d + 2] = ex.c_reg;
 }
 
 GroupModels finetune_models(const std::vector<const DesignData*>& designs,
@@ -112,14 +115,24 @@ GroupModels finetune_models(const std::vector<const DesignData*>& designs,
   const std::size_t d = encoder.dim();
   const int stride = std::max(1, config.cycle_stride);
 
-  // Count rows first.
-  std::size_t rows = 0;
+  // Encode every strided (design, workload, sub-module, cycle) in one fused
+  // batch; the per-graph statics and cycle extras come with it.
+  std::vector<EncodeItem> items;
   for (const DesignData* dd : designs) {
     for (const auto& wl : dd->workloads) {
-      const int cycles = wl.gate_trace.num_cycles();
-      rows += dd->gate_graphs.size() *
-              static_cast<std::size_t>((cycles + stride - 1) / stride);
+      items.push_back(
+          EncodeItem{&dd->gate, &dd->gate_graphs, &wl.gate_trace, nullptr, stride});
     }
+  }
+  std::vector<DesignEmbeddings> embs(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) items[i].out = &embs[i];
+  {
+    util::Arena arena;
+    encode_batch(encoder, items.data(), items.size(), arena);
+  }
+  std::size_t rows = 0;
+  for (const DesignEmbeddings& e : embs) {
+    rows += e.graphs.size() * static_cast<std::size_t>(e.num_cycles);
   }
   Matrix x_ct(rows, ct_dim(d));
   Matrix x_comb(rows, comb_dim(d));
@@ -129,40 +142,34 @@ GroupModels finetune_models(const std::vector<const DesignData*>& designs,
   y_comb.reserve(rows);
   y_reg.reserve(rows);
 
-  Matrix feats;
   std::size_t row = 0;
+  std::size_t item = 0;
   for (const DesignData* dd : designs) {
-    std::vector<SubmoduleStatic> statics;
-    statics.reserve(dd->gate_graphs.size());
-    for (const SubmoduleGraph& g : dd->gate_graphs) {
-      statics.push_back(compute_submodule_static(dd->gate, g));
-    }
     for (const auto& wl : dd->workloads) {
-      const int cycles = wl.gate_trace.num_cycles();
+      const DesignEmbeddings& emb = embs[item++];
       for (std::size_t gi = 0; gi < dd->gate_graphs.size(); ++gi) {
         const SubmoduleGraph& g = dd->gate_graphs[gi];
-        for (int c = 0; c < cycles; c += stride) {
-          graph::fill_cycle_features(g, wl.gate_trace, c, feats);
-          const auto out = encoder.forward(graph::view_with_features(g, feats));
-          const CycleExtras ex =
-              compute_cycle_extras(g, statics[gi], wl.gate_trace, c);
-          fill_ct_row(out.graph_emb, x_ct.row(row));
-          fill_comb_row(out.graph_emb, statics[gi], ex, x_comb.row(row));
-          fill_reg_row(out.graph_emb, statics[gi], ex, x_reg.row(row));
-          const power::GroupPower& label = wl.golden.submodule(c, g.submodule);
+        const DesignEmbeddings::PerGraph& pg = emb.graphs[gi];
+        const SubmoduleStatic& st = pg.st;
+        for (int k = 0; k < emb.num_cycles; ++k) {
+          const std::size_t r = static_cast<std::size_t>(k);
+          const float* e = pg.emb.row(r);
+          const CycleExtras& ex = pg.extras[r];
+          fill_ct_row(e, d, x_ct.row(row));
+          fill_comb_row(e, d, st, ex, x_comb.row(row));
+          fill_reg_row(e, d, st, ex, x_reg.row(row));
+          const power::GroupPower& label =
+              wl.golden.submodule(k * stride, g.submodule);
           // Ratio targets against the analytic gate-level estimates (see
           // comb_physics_uw): trees model the bounded layout-uplift ratio.
-          y_ct.push_back(label.clock / ct_normalizer(statics[gi]));
-          y_comb.push_back(label.comb /
-                           (comb_physics_uw(statics[gi], ex) + kRatioEps));
-          y_reg.push_back(label.reg /
-                          (reg_physics_uw(statics[gi], ex) + kRatioEps));
+          y_ct.push_back(label.clock / ct_normalizer(st));
+          y_comb.push_back(label.comb / (comb_physics_uw(st, ex) + kRatioEps));
+          y_reg.push_back(label.reg / (reg_physics_uw(st, ex) + kRatioEps));
           ++row;
         }
       }
     }
   }
-  if (row != rows) throw std::logic_error("finetune: row accounting mismatch");
 
   GroupModels models{ml::GbdtRegressor(config.gbdt),
                      ml::GbdtRegressor(config.gbdt),

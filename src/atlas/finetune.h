@@ -84,15 +84,18 @@ std::size_t ct_dim(std::size_t d);
 std::size_t comb_dim(std::size_t d);
 std::size_t reg_dim(std::size_t d);
 
-/// Assemble one feature row. `emb` is the 1 x d graph embedding.
-void fill_ct_row(const ml::Matrix& emb, float* row);
-void fill_comb_row(const ml::Matrix& emb, const SubmoduleStatic& st,
+/// Assemble one feature row. `emb` is the d-wide graph embedding.
+void fill_ct_row(const float* emb, std::size_t d, float* row);
+void fill_comb_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                    const CycleExtras& ex, float* row);
-void fill_reg_row(const ml::Matrix& emb, const SubmoduleStatic& st,
+void fill_reg_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                   const CycleExtras& ex, float* row);
 
 /// Train the three group models from the given training designs (all
-/// workloads), using `encoder` embeddings on N_g graphs.
+/// workloads), using `encoder` embeddings on N_g graphs. The embeddings
+/// come from the fused inference encoder (core::encode_batch) with the
+/// config's cycle stride, so training rows hold exactly the values
+/// prediction later feeds the heads.
 GroupModels finetune_models(const std::vector<const DesignData*>& designs,
                             const ml::SgFormer& encoder,
                             const FinetuneConfig& config);

@@ -52,49 +52,26 @@ std::size_t DesignEmbeddings::approx_bytes() const {
 Prediction AtlasModel::predict(const netlist::Netlist& gate,
                                const std::vector<SubmoduleGraph>& graphs,
                                const sim::ToggleTrace& gate_trace) const {
-  return predict_from_embeddings(gate, graphs,
-                                 encode(gate, graphs, gate_trace));
-}
-
-DesignEmbeddings AtlasModel::encode(
-    const netlist::Netlist& gate, const std::vector<SubmoduleGraph>& graphs,
-    const sim::ToggleTrace& gate_trace) const {
-  obs::ObsSpan span("model", "encode");
-  static obs::Counter* encodes =
-      &obs::Registry::global().counter("atlas_model_encodes_total");
-  encodes->inc();
+  util::Arena arena;
   DesignEmbeddings emb;
-  emb.num_cycles = gate_trace.num_cycles();
-  emb.graphs.reserve(graphs.size());
-
-  const std::size_t d = encoder_.dim();
-  Matrix feats;
-  for (const SubmoduleGraph& g : graphs) {
-    DesignEmbeddings::PerGraph pg;
-    pg.st = compute_submodule_static(gate, g);
-    pg.emb = Matrix(static_cast<std::size_t>(emb.num_cycles), d);
-    pg.extras.resize(static_cast<std::size_t>(emb.num_cycles));
-    for (int c = 0; c < emb.num_cycles; ++c) {
-      graph::fill_cycle_features(g, gate_trace, c, feats);
-      const auto out = encoder_.forward(graph::view_with_features(g, feats));
-      std::copy(out.graph_emb.row(0), out.graph_emb.row(0) + d,
-                pg.emb.row(static_cast<std::size_t>(c)));
-      pg.extras[static_cast<std::size_t>(c)] =
-          compute_cycle_extras(g, pg.st, gate_trace, c);
-    }
-    emb.graphs.push_back(std::move(pg));
-  }
-  return emb;
+  const EncodeItem item{&gate, &graphs, &gate_trace, &emb};
+  encode_batch(&item, 1, arena);
+  return predict_from_embeddings(gate, graphs, emb, &arena);
 }
 
 void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
                               util::Arena& arena) const {
+  core::encode_batch(encoder_, items, n, arena);
+}
+
+void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
+                  std::size_t n, util::Arena& arena) {
   obs::ObsSpan span("model", "encode_batch");
   static obs::Counter* encodes =
       &obs::Registry::global().counter("atlas_model_encodes_total");
   encodes->inc(n);
 
-  const std::size_t d = encoder_.dim();
+  const std::size_t d = encoder.dim();
 
   // Per-graph setup: static context, extras, the output matrix, and the
   // shared normalized adjacency (cycle-invariant, built once per graph
@@ -103,6 +80,8 @@ void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
     const netlist::Netlist* gate = nullptr;
     const SubmoduleGraph* g = nullptr;
     const sim::ToggleTrace* trace = nullptr;
+    int stride = 1;
+    int rows = 0;  // encoded cycles
     DesignEmbeddings::PerGraph* pg = nullptr;
     ml::SgFormer::NormAdjacency adj;
   };
@@ -110,13 +89,16 @@ void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     const EncodeItem& it = items[i];
     DesignEmbeddings& out = *it.out;
-    out.num_cycles = it.trace->num_cycles();
+    const int stride = std::max(1, it.cycle_stride);
+    out.num_cycles = (it.trace->num_cycles() + stride - 1) / stride;
     out.graphs.assign(it.graphs->size(), {});
     for (std::size_t gi = 0; gi < it.graphs->size(); ++gi) {
       GraphRef r;
       r.gate = it.gate;
       r.g = &(*it.graphs)[gi];
       r.trace = it.trace;
+      r.stride = stride;
+      r.rows = out.num_cycles;
       r.pg = &out.graphs[gi];
       grefs.push_back(std::move(r));
     }
@@ -125,40 +107,49 @@ void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
     GraphRef& r = grefs[i];
     DesignEmbeddings::PerGraph& pg = *r.pg;
     pg.st = compute_submodule_static(*r.gate, *r.g);
-    const int cycles = r.trace->num_cycles();
-    pg.emb = Matrix(static_cast<std::size_t>(cycles), d);
-    pg.extras.resize(static_cast<std::size_t>(cycles));
-    for (int c = 0; c < cycles; ++c) {
-      pg.extras[static_cast<std::size_t>(c)] =
-          compute_cycle_extras(*r.g, pg.st, *r.trace, c);
+    const std::size_t rows = static_cast<std::size_t>(r.rows);
+    pg.emb = Matrix(rows, d);
+    pg.extras.resize(rows);
+    for (std::size_t k = 0; k < rows; ++k) {
+      pg.extras[k] = compute_cycle_extras(*r.g, pg.st, *r.trace,
+                                          static_cast<int>(k) * r.stride);
     }
     r.adj = ml::SgFormer::build_norm_adjacency(r.g->num_nodes(), &r.g->edges);
   });
 
-  // Flatten to (graph, cycle) segments and run the fused encoder over row
-  // blocks. Blocking only bounds peak scratch — segment results never cross
-  // block boundaries, so the split points cannot affect numerics.
+  // Flatten to (graph, encoded cycle) segments and run the fused encoder
+  // over row blocks. Blocking only bounds peak scratch — segment results
+  // never cross block boundaries, so the split points cannot affect
+  // numerics.
   struct Seg {
     const GraphRef* ref = nullptr;
-    int cycle = 0;
+    int row = 0;
   };
   std::vector<ml::SgFormer::Segment> segs;
   std::vector<Seg> meta;
   for (const GraphRef& r : grefs) {
-    const int cycles = r.trace->num_cycles();
-    for (int c = 0; c < cycles; ++c) {
+    for (int k = 0; k < r.rows; ++k) {
       segs.push_back(ml::SgFormer::Segment{r.g->num_nodes(), &r.adj});
-      meta.push_back(Seg{&r, c});
+      meta.push_back(Seg{&r, k});
     }
   }
 
-  constexpr std::size_t kMaxFusedRows = 8192;
+  // Rows per block: the block's feature rows plus forward_fused's
+  // activations fit a fixed scratch budget no larger than one core's L2
+  // (1 MiB: ~930 rows at dim 32), so the working set stays cache-resident
+  // and peak scratch does not scale with the batch (always at least one
+  // segment per block).
+  constexpr std::size_t kBlockScratchBytes = 1u << 20;
+  const std::size_t feat_dim = static_cast<std::size_t>(graph::kFeatureDim);
+  const std::size_t max_rows =
+      kBlockScratchBytes /
+      (encoder.fused_scratch_bytes_per_row() + feat_dim * sizeof(float));
   std::size_t s0 = 0;
   while (s0 < segs.size()) {
     std::size_t s1 = s0;
     std::size_t rows = 0;
     while (s1 < segs.size() &&
-           (s1 == s0 || rows + segs[s1].num_nodes <= kMaxFusedRows)) {
+           (s1 == s0 || rows + segs[s1].num_nodes <= max_rows)) {
       rows += segs[s1].num_nodes;
       ++s1;
     }
@@ -169,20 +160,19 @@ void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
     for (std::size_t k = 0; k < count; ++k) {
       off[k + 1] = off[k] + segs[s0 + k].num_nodes;
     }
-    float* feats =
-        arena.alloc_array<float>(rows * static_cast<std::size_t>(graph::kFeatureDim));
+    float* feats = arena.alloc_array<float>(rows * feat_dim);
     float* gemb = arena.alloc_array<float>(count * d);
     util::parallel_for(count, 1, [&](std::size_t k) {
       const Seg& m = meta[s0 + k];
-      graph::fill_cycle_features(
-          *m.ref->g, *m.ref->trace, m.cycle,
-          feats + off[k] * static_cast<std::size_t>(graph::kFeatureDim));
+      graph::fill_cycle_features(*m.ref->g, *m.ref->trace,
+                                 m.row * m.ref->stride,
+                                 feats + off[k] * feat_dim);
     });
-    encoder_.forward_fused(segs.data() + s0, count, feats, gemb, arena);
+    encoder.forward_fused(segs.data() + s0, count, feats, gemb, arena);
     util::parallel_for(count, 1, [&](std::size_t k) {
       const Seg& m = meta[s0 + k];
       std::copy(gemb + k * d, gemb + (k + 1) * d,
-                m.ref->pg->emb.row(static_cast<std::size_t>(m.cycle)));
+                m.ref->pg->emb.row(static_cast<std::size_t>(m.row)));
     });
     arena.rewind(marker);
     s0 = s1;
@@ -212,10 +202,9 @@ Prediction AtlasModel::predict_from_embeddings(
   const std::size_t ncg = graphs.size() * cycles;
   if (ncg == 0) return pred;
 
-  // Assemble head feature rows for every (graph, cycle) into one block and
-  // evaluate each forest with its batched SoA traversal. Row values and the
-  // per-row accumulation are exactly what the scalar fill_*_row +
-  // predict_row path computed, so predictions are bit-identical.
+  // Assemble head feature rows for every (graph, cycle) into one block —
+  // the same fill_*_row layout fine-tuning trained on — and evaluate each
+  // forest with its batched SoA traversal.
   util::Arena local;
   util::Arena& a = arena != nullptr ? *arena : local;
   const util::Arena::Marker marker = a.mark();
@@ -231,22 +220,12 @@ Prediction AtlasModel::predict_from_embeddings(
 
   util::parallel_for(graphs.size(), 1, [&](std::size_t gi) {
     const DesignEmbeddings::PerGraph& pg = emb.graphs[gi];
-    const SubmoduleStatic& st = pg.st;
     for (std::size_t c = 0; c < cycles; ++c) {
       const std::size_t r = gi * cycles + c;
       const float* e = pg.emb.row(c);
-      const CycleExtras& ex = pg.extras[c];
-      std::copy(e, e + d, ct_rows + r * cdim);
-      float* cr = comb_rows + r * odim;
-      std::copy(e, e + d, cr);
-      cr[d] = static_cast<float>(st.n_comb);
-      cr[d + 1] = ex.i_comb;
-      cr[d + 2] = ex.c_comb;
-      float* rr = reg_rows + r * rdim;
-      std::copy(e, e + d, rr);
-      rr[d] = static_cast<float>(st.n_reg);
-      rr[d + 1] = ex.i_reg;
-      rr[d + 2] = ex.c_reg;
+      fill_ct_row(e, d, ct_rows + r * cdim);
+      fill_comb_row(e, d, pg.st, pg.extras[c], comb_rows + r * odim);
+      fill_reg_row(e, d, pg.st, pg.extras[c], reg_rows + r * rdim);
     }
   });
 

@@ -42,9 +42,9 @@ struct Prediction {
 /// Everything the GBDT heads consume for one design under one workload:
 /// per-sub-module static context plus, per cycle, the encoder's graph
 /// embedding and the paper's extra toggle-weighted features. Computing this
-/// is the expensive part of prediction (per-cycle encoder forwards); the
-/// serve-layer feature cache stores it so repeat queries on the same
-/// (design, workload) skip straight to the GBDT heads.
+/// is the expensive part of prediction (the encoder runs once per
+/// (sub-module, cycle)); the serve-layer feature cache stores it so repeat
+/// queries on the same (design, workload) skip straight to the GBDT heads.
 struct DesignEmbeddings {
   struct PerGraph {
     SubmoduleStatic st;
@@ -57,8 +57,35 @@ struct DesignEmbeddings {
   std::size_t approx_bytes() const;
 };
 
+/// One (design, workload) in a fused encode batch.
+struct EncodeItem {
+  const netlist::Netlist* gate = nullptr;
+  const std::vector<graph::SubmoduleGraph>* graphs = nullptr;
+  const sim::ToggleTrace* trace = nullptr;
+  DesignEmbeddings* out = nullptr;  // filled by encode_batch
+  /// Encode cycles 0, s, 2s, ... only: row r of `out` holds cycle r * s and
+  /// out->num_cycles counts the encoded cycles. Prediction needs every
+  /// cycle (1); fine-tuning strides its training rows.
+  int cycle_stride = 1;
+};
+
+/// Stage 1 of prediction, the only inference encoder: packs every
+/// (item, sub-module, encoded cycle) into row blocks and runs the encoder's
+/// fused kernels over them — one GEMM per layer over the concatenated node
+/// features. Each graph's normalized adjacency is built once and shared
+/// across its cycles. A block's row count follows from a fixed scratch
+/// budget sized to a core's L2, so peak scratch does not grow with the
+/// batch. Scratch (feature rows, activations, embeddings) is bump-allocated
+/// from `arena` and rewound per block. Each embedding row is bit-identical
+/// to SgFormer::forward on that (graph, cycle) alone, at any thread count
+/// and any batch composition.
+void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
+                  std::size_t n, util::Arena& arena);
+
 class AtlasModel {
  public:
+  using EncodeItem = core::EncodeItem;
+
   AtlasModel(ml::SgFormer encoder, GroupModels models);
 
   const ml::SgFormer& encoder() const { return encoder_; }
@@ -66,42 +93,23 @@ class AtlasModel {
 
   /// Predict per-cycle post-layout power from the gate-level netlist and its
   /// workload trace. `graphs` must come from build_submodule_graphs(gate).
-  /// Exactly encode() followed by predict_from_embeddings().
+  /// Exactly encode_batch() over this one item followed by
+  /// predict_from_embeddings(), sharing one scratch arena.
   Prediction predict(const netlist::Netlist& gate,
                      const std::vector<graph::SubmoduleGraph>& graphs,
                      const sim::ToggleTrace& gate_trace) const;
 
-  /// Stage 1: run the encoder over every (sub-module, cycle) and collect
-  /// the head inputs. Reusable across predictions with the same workload.
-  DesignEmbeddings encode(const netlist::Netlist& gate,
-                          const std::vector<graph::SubmoduleGraph>& graphs,
-                          const sim::ToggleTrace& gate_trace) const;
-
-  /// One design in a fused encode batch (the dispatcher's formed batch,
-  /// grouped by model).
-  struct EncodeItem {
-    const netlist::Netlist* gate = nullptr;
-    const std::vector<graph::SubmoduleGraph>* graphs = nullptr;
-    const sim::ToggleTrace* trace = nullptr;
-    DesignEmbeddings* out = nullptr;  // filled by encode_batch
-  };
-
-  /// Stage 1 over a whole batch: packs every (design, sub-module, cycle)
-  /// into row blocks and runs the encoder's fused kernels over them — one
-  /// GEMM per layer over the concatenated node features instead of one
-  /// small forward per cycle. Each graph's normalized adjacency is built
-  /// once and shared across its cycles. Scratch (feature rows, activations,
-  /// embeddings) is bump-allocated from `arena` and recycled by the caller.
-  /// Bit-identical to calling encode() once per item, at any thread count
-  /// and any batch composition.
+  /// Stage 1 with this model's encoder (see core::encode_batch). The
+  /// serving dispatcher passes its whole formed batch, grouped by model.
   void encode_batch(const EncodeItem* items, std::size_t n,
                     util::Arena& arena) const;
 
-  /// Stage 2: GBDT heads only. Bit-identical to predict() when `emb` comes
-  /// from encode() on the same inputs — pinned by tests; the serve feature
-  /// cache depends on it. Head feature rows for all (sub-module, cycle)
-  /// pairs are assembled into one block and evaluated with the forests'
-  /// batched SoA traversal; `arena` (optional) supplies the scratch.
+  /// Stage 2: GBDT heads only. predict() is exactly encode_batch() followed
+  /// by this, so embeddings cached from encode_batch() reproduce predict()
+  /// bit for bit — the serve feature cache depends on it. Head feature rows
+  /// for all (sub-module, cycle) pairs are assembled into one block and
+  /// evaluated with the forests' batched SoA traversal; `arena` (optional)
+  /// supplies the scratch.
   Prediction predict_from_embeddings(
       const netlist::Netlist& gate,
       const std::vector<graph::SubmoduleGraph>& graphs,

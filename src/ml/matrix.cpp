@@ -44,8 +44,9 @@ Matrix& Matrix::operator*=(float s) {
 
 namespace raw {
 
-void gemm_rows(const float* a, std::size_t a_cols, const float* b,
-               std::size_t b_cols, float* c, std::size_t r0, std::size_t r1) {
+void gemm_rows(const float* __restrict a, std::size_t a_cols,
+               const float* __restrict b, std::size_t b_cols,
+               float* __restrict c, std::size_t r0, std::size_t r1) {
   for (std::size_t i = r0; i < r1; ++i) {
     const float* ar = a + i * a_cols;
     float* cr = c + i * b_cols;

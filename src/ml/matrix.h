@@ -48,8 +48,9 @@ class Matrix {
 
 // Raw row-major kernels. These are the single source of truth for the
 // arithmetic: the Matrix entry points below and the fused batched encoder
-// (sgformer forward_fused) both delegate here, so the request-at-a-time and
-// batched paths share identical loop order and rounding by construction.
+// (sgformer forward_fused) both delegate here, so the serial forward() that
+// pre-training runs and the fused inference encoder share identical loop
+// order and rounding by construction.
 // Each output row of gemm_rows depends only on the matching input row, which
 // is what makes row-chunk parallelism and batch concatenation bit-identical
 // to the serial per-request ops.
@@ -57,8 +58,13 @@ namespace raw {
 
 /// C rows [r0, r1) = A rows [r0, r1) * B. C rows must be pre-zeroed.
 /// A is (? x a_cols) row-major, B is (a_cols x b_cols), C is (? x b_cols).
-void gemm_rows(const float* a, std::size_t a_cols, const float* b,
-               std::size_t b_cols, float* c, std::size_t r0, std::size_t r1);
+/// C must not overlap A or B (`__restrict`), which lets the compiler
+/// vectorize the inner loop across output columns. Each C element still
+/// accumulates its k terms in ascending order, so vectorizing changes no
+/// rounding.
+void gemm_rows(const float* __restrict a, std::size_t a_cols,
+               const float* __restrict b, std::size_t b_cols,
+               float* __restrict c, std::size_t r0, std::size_t r1);
 
 /// C (a_cols x b_cols, pre-zeroed) += A^T * B over rows [0, n), k ascending.
 void gemm_tn(const float* a, std::size_t a_cols, const float* b,

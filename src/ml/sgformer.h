@@ -98,6 +98,12 @@ class SgFormer {
                      const float* features, float* graph_emb,
                      util::Arena& arena) const;
 
+  /// Activation scratch forward_fused takes from the arena per input row
+  /// (eight dim-wide float buffers), excluding the caller's feature rows.
+  std::size_t fused_scratch_bytes_per_row() const {
+    return 8 * config_.dim * sizeof(float);
+  }
+
   /// Accumulate parameter gradients for one graph. `d_node` may be empty
   /// (zero); `d_graph` may be empty (zero).
   void backward(const Cache& cache, const Matrix& d_node, const Matrix& d_graph);

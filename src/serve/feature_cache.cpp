@@ -1,5 +1,7 @@
 #include "serve/feature_cache.h"
 
+#include <iterator>
+
 #include "obs/metrics.h"
 #include "util/hash.h"
 
@@ -103,8 +105,8 @@ void FeatureCache::evict_if_needed() {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     const auto it = entries_.find(victim);
-    for (const auto& [k, emb] : it->second.embeddings) {
-      embedding_bytes_ -= bytes_of(emb);
+    for (const auto& [k, cached] : it->second.embeddings) {
+      embedding_bytes_ -= bytes_of(cached.emb);
     }
     design_bytes_ -= it->second.design_bytes;
     entries_.erase(it);
@@ -174,16 +176,19 @@ std::shared_ptr<const core::DesignEmbeddings> FeatureCache::find_embeddings(
     publish_gauges();
     return nullptr;
   }
-  const auto eit = it->second.embeddings.find(emb_key);
-  if (eit == it->second.embeddings.end()) {
+  Entry& e = it->second;
+  const auto eit = e.embeddings.find(emb_key);
+  if (eit == e.embeddings.end()) {
     ++stats_.embedding_misses;
     publish_gauges();
     return nullptr;
   }
   ++stats_.embedding_hits;
-  touch(design_key, it->second);
+  e.embedding_order.splice(e.embedding_order.end(), e.embedding_order,
+                           eit->second.order_pos);
+  touch(design_key, e);
   publish_gauges();
-  return eit->second;
+  return eit->second.emb;
 }
 
 std::shared_ptr<const core::DesignEmbeddings> FeatureCache::put_embeddings(
@@ -212,15 +217,17 @@ std::shared_ptr<const core::DesignEmbeddings> FeatureCache::put_embeddings(
     // the existing entry (byte accounting untouched) and return it so both
     // racers serve the pointer the cache holds.
     publish_gauges();
-    return eit->second;
+    return eit->second.emb;
   }
   embedding_bytes_ += bytes_of(emb);
   std::shared_ptr<const core::DesignEmbeddings> winner = emb;
-  e.embeddings.emplace(emb_key, std::move(emb));
   e.embedding_order.push_back(emb_key);
+  e.embeddings.emplace(
+      emb_key, Entry::CachedEmbeddings{std::move(emb),
+                                       std::prev(e.embedding_order.end())});
   while (e.embeddings.size() > max_embeddings_per_design_) {
     const auto victim = e.embeddings.find(e.embedding_order.front());
-    embedding_bytes_ -= bytes_of(victim->second);
+    embedding_bytes_ -= bytes_of(victim->second.emb);
     e.embeddings.erase(victim);
     e.embedding_order.pop_front();
   }

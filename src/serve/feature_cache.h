@@ -114,7 +114,8 @@ struct FeatureCacheStats {
 class FeatureCache {
  public:
   /// `max_designs` bounds the design layer (LRU); `max_embeddings_per_design`
-  /// bounds each entry's embedding map (oldest-inserted evicted first);
+  /// bounds each entry's embedding map (LRU: a find_embeddings hit refreshes
+  /// the key, so a hot workload outlives a stream of one-off traces);
   /// `max_bytes` bounds the summed approximate weight of designs +
   /// embeddings (0 = unlimited).
   explicit FeatureCache(std::size_t max_designs = 16,
@@ -165,10 +166,14 @@ class FeatureCache {
   struct Entry {
     std::shared_ptr<const DesignArtifacts> design;
     std::size_t design_bytes = 0;
-    // Insertion-ordered for simple FIFO eviction within one design.
-    std::map<EmbeddingKey, std::shared_ptr<const core::DesignEmbeddings>>
-        embeddings;
+    // Least recently used first: inserts append, a hit moves its key to
+    // the back, eviction pops the front.
     std::list<EmbeddingKey> embedding_order;
+    struct CachedEmbeddings {
+      std::shared_ptr<const core::DesignEmbeddings> emb;
+      std::list<EmbeddingKey>::iterator order_pos;
+    };
+    std::map<EmbeddingKey, CachedEmbeddings> embeddings;
     std::list<std::uint64_t>::iterator lru_pos;
   };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "atlas/finetune.h"
 #include "atlas/logic_cones.h"
@@ -10,6 +11,7 @@
 #include "atlas/preprocess.h"
 #include "atlas/pretrain.h"
 #include "netlist/verilog_io.h"
+#include "serial_encode_oracle.h"
 #include "util/arena.h"
 #include "util/parallel.h"
 
@@ -275,6 +277,24 @@ TEST_F(AtlasCoreTest, ModelSerializationRoundTrip) {
   std::filesystem::remove(path);
 }
 
+/// Bit-equal per-cycle and per-sub-module group powers.
+void expect_same_prediction(const Prediction& a, const Prediction& b,
+                            const std::string& what) {
+  ASSERT_EQ(a.num_cycles, b.num_cycles) << what;
+  ASSERT_EQ(a.num_submodules, b.num_submodules) << what;
+  for (int c = 0; c < a.num_cycles; ++c) {
+    EXPECT_EQ(a.at(c).comb, b.at(c).comb) << what << " cycle " << c;
+    EXPECT_EQ(a.at(c).clock, b.at(c).clock) << what << " cycle " << c;
+    EXPECT_EQ(a.at(c).reg, b.at(c).reg) << what << " cycle " << c;
+  }
+  ASSERT_EQ(a.submodule.size(), b.submodule.size()) << what;
+  for (std::size_t i = 0; i < a.submodule.size(); ++i) {
+    EXPECT_EQ(a.submodule[i].comb, b.submodule[i].comb) << what;
+    EXPECT_EQ(a.submodule[i].clock, b.submodule[i].clock) << what;
+    EXPECT_EQ(a.submodule[i].reg, b.submodule[i].reg) << what;
+  }
+}
+
 TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
   PretrainConfig pcfg;
   pcfg.epochs = 1;
@@ -288,48 +308,43 @@ TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
   const AtlasModel model(std::move(pre.encoder), std::move(models));
 
   const auto& wl = test_->workloads[0];
+  const Prediction oracle = oracle::serial_predict(
+      model, test_->gate, test_->gate_graphs, wl.gate_trace);
   const Prediction direct =
       model.predict(test_->gate, test_->gate_graphs, wl.gate_trace);
+  expect_same_prediction(direct, oracle, "predict vs serial oracle");
 
-  // The split entry points the serving feature cache relies on: encode()
+  // The split entry points the serving feature cache relies on: encode
   // once, then reuse the embeddings for repeated head evaluation. Both
-  // evaluations must be bit-identical to the monolithic predict().
-  const DesignEmbeddings emb =
-      model.encode(test_->gate, test_->gate_graphs, wl.gate_trace);
-  EXPECT_EQ(emb.num_cycles, direct.num_cycles);
+  // evaluations must be bit-identical to the serial reference.
+  DesignEmbeddings emb;
+  util::Arena arena;
+  const AtlasModel::EncodeItem item{&test_->gate, &test_->gate_graphs,
+                                    &wl.gate_trace, &emb};
+  model.encode_batch(&item, 1, arena);
+  EXPECT_EQ(emb.num_cycles, oracle.num_cycles);
   EXPECT_EQ(emb.graphs.size(), test_->gate_graphs.size());
   EXPECT_GT(emb.approx_bytes(), 0u);
   for (int round = 0; round < 2; ++round) {
-    const Prediction split =
-        model.predict_from_embeddings(test_->gate, test_->gate_graphs, emb);
-    ASSERT_EQ(split.num_cycles, direct.num_cycles);
-    ASSERT_EQ(split.num_submodules, direct.num_submodules);
-    for (int c = 0; c < direct.num_cycles; ++c) {
-      EXPECT_EQ(split.at(c).comb, direct.at(c).comb);
-      EXPECT_EQ(split.at(c).clock, direct.at(c).clock);
-      EXPECT_EQ(split.at(c).reg, direct.at(c).reg);
-    }
-    ASSERT_EQ(split.submodule.size(), direct.submodule.size());
-    for (std::size_t i = 0; i < direct.submodule.size(); ++i) {
-      EXPECT_EQ(split.submodule[i].comb, direct.submodule[i].comb);
-      EXPECT_EQ(split.submodule[i].clock, direct.submodule[i].clock);
-      EXPECT_EQ(split.submodule[i].reg, direct.submodule[i].reg);
-    }
+    expect_same_prediction(
+        model.predict_from_embeddings(test_->gate, test_->gate_graphs, emb),
+        oracle, "split round " + std::to_string(round));
   }
 
   // Mismatched shapes are rejected, not silently mispredicted.
-  DesignEmbeddings wrong = model.encode(test_->gate, test_->gate_graphs, wl.gate_trace);
+  DesignEmbeddings wrong = emb;
   wrong.graphs.pop_back();
   EXPECT_THROW(model.predict_from_embeddings(test_->gate, test_->gate_graphs, wrong),
                std::invalid_argument);
 }
 
-TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
+TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToSerialOracle) {
   // The serving dispatcher fuses a whole batch into one encode_batch call;
-  // every (design, workload) item must come out bit-identical to a solo
-  // encode() — at any thread count, any batch composition, and with a
-  // recycled arena. Two distinct designs and two workloads per design
-  // exercise mixed-shape batches.
+  // every (design, workload) item must come out bit-identical to the
+  // serial per-(graph, cycle) reference encoder — at any thread count, any
+  // batch composition, any cycle stride, and with a recycled arena. Two
+  // distinct designs and two workloads per design exercise mixed-shape
+  // batches.
   PretrainConfig pcfg;
   pcfg.epochs = 1;
   pcfg.cycles_per_graph = 1;
@@ -356,30 +371,43 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
 
   std::vector<DesignEmbeddings> solo;
   for (const Item& it : inputs) {
-    solo.push_back(
-        model.encode(it.design->gate, it.design->gate_graphs, *it.trace));
+    solo.push_back(oracle::serial_encode(model.encoder(), it.design->gate,
+                                         it.design->gate_graphs, *it.trace));
   }
 
+  // Row r of `a` against row r * stride of the oracle `b`.
   const auto expect_same = [&](const DesignEmbeddings& a,
-                               const DesignEmbeddings& b, std::size_t idx) {
-    ASSERT_EQ(a.num_cycles, b.num_cycles) << "item " << idx;
+                               const DesignEmbeddings& b, std::size_t idx,
+                               int stride = 1) {
+    ASSERT_EQ(a.num_cycles, (b.num_cycles + stride - 1) / stride)
+        << "item " << idx;
     ASSERT_EQ(a.graphs.size(), b.graphs.size()) << "item " << idx;
+    const std::size_t d = model.encoder().dim();
     for (std::size_t g = 0; g < a.graphs.size(); ++g) {
-      ASSERT_EQ(a.graphs[g].emb.size(), b.graphs[g].emb.size());
-      for (std::size_t i = 0; i < a.graphs[g].emb.size(); ++i) {
-        ASSERT_EQ(a.graphs[g].emb.data()[i], b.graphs[g].emb.data()[i])
-            << "item " << idx << " graph " << g << " entry " << i;
+      const DesignEmbeddings::PerGraph& pa = a.graphs[g];
+      const DesignEmbeddings::PerGraph& pb = b.graphs[g];
+      ASSERT_EQ(pa.emb.rows(), static_cast<std::size_t>(a.num_cycles));
+      ASSERT_EQ(pa.extras.size(), static_cast<std::size_t>(a.num_cycles));
+      for (std::size_t r = 0; r < pa.emb.rows(); ++r) {
+        const std::size_t c = r * static_cast<std::size_t>(stride);
+        for (std::size_t j = 0; j < d; ++j) {
+          ASSERT_EQ(pa.emb.at(r, j), pb.emb.at(c, j))
+              << "item " << idx << " graph " << g << " cycle " << c;
+        }
+        EXPECT_EQ(pa.extras[r].i_comb, pb.extras[c].i_comb);
+        EXPECT_EQ(pa.extras[r].c_comb, pb.extras[c].c_comb);
+        EXPECT_EQ(pa.extras[r].i_reg, pb.extras[c].i_reg);
+        EXPECT_EQ(pa.extras[r].c_reg, pb.extras[c].c_reg);
       }
-      ASSERT_EQ(a.graphs[g].extras.size(), b.graphs[g].extras.size());
-      EXPECT_EQ(a.graphs[g].st.n_comb, b.graphs[g].st.n_comb);
-      EXPECT_EQ(a.graphs[g].st.n_reg, b.graphs[g].st.n_reg);
+      EXPECT_EQ(pa.st.n_comb, pb.st.n_comb);
+      EXPECT_EQ(pa.st.n_reg, pb.st.n_reg);
     }
   };
 
   util::Arena arena;
   for (const int threads : {1, 4}) {
     util::set_global_threads(threads);
-    // Full batch, then a permuted sub-batch: composition must not matter.
+    // Full batch, then a sub-batch: composition must not matter.
     std::vector<DesignEmbeddings> out(inputs.size());
     std::vector<AtlasModel::EncodeItem> items;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -400,24 +428,26 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
                                inputs[last].trace, &single};
     model.encode_batch(&one, 1, arena);
     expect_same(single, solo[last], last);
+
+    // Strided items (fine-tuning's training rows) pick exactly the oracle's
+    // rows at cycles 0, s, 2s, ...
+    DesignEmbeddings strided;
+    one.out = &strided;
+    one.cycle_stride = 3;
+    model.encode_batch(&one, 1, arena);
+    expect_same(strided, solo[last], last, 3);
     arena.reset();
+
+    // The whole predict() path against the serial reference.
+    expect_same_prediction(
+        model.predict(inputs[0].design->gate, inputs[0].design->gate_graphs,
+                      *inputs[0].trace),
+        oracle::serial_predict(model, inputs[0].design->gate,
+                               inputs[0].design->gate_graphs,
+                               *inputs[0].trace),
+        "predict at threads=" + std::to_string(threads));
   }
   util::set_global_threads(0);
-
-  // The fused embeddings drive the heads to the same bits as the
-  // monolithic path — the end-to-end identity the serve tier pins.
-  const Prediction direct = model.predict(
-      inputs[0].design->gate, inputs[0].design->gate_graphs, *inputs[0].trace);
-  util::Arena head_arena;
-  const Prediction via_batch = model.predict_from_embeddings(
-      inputs[0].design->gate, inputs[0].design->gate_graphs, solo[0],
-      &head_arena);
-  ASSERT_EQ(via_batch.num_cycles, direct.num_cycles);
-  for (int c = 0; c < direct.num_cycles; ++c) {
-    EXPECT_EQ(via_batch.at(c).comb, direct.at(c).comb);
-    EXPECT_EQ(via_batch.at(c).clock, direct.at(c).clock);
-    EXPECT_EQ(via_batch.at(c).reg, direct.at(c).reg);
-  }
 }
 
 TEST_F(AtlasCoreTest, MemoryModelAccurate) {

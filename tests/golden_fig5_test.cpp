@@ -32,6 +32,7 @@
 #include "layout/layout_flow.h"
 #include "liberty/library.h"
 #include "power/power_analyzer.h"
+#include "serial_encode_oracle.h"
 #include "sim/simulator.h"
 #include "util/arena.h"
 #include "util/parallel.h"
@@ -129,20 +130,21 @@ TEST(GoldenFig5Test, C4PerCyclePowerMatchesCommittedCsv) {
   check_design(4, "fig5_C4_W1.csv");
 }
 
-/// The fused batched inference path (encode_batch + predict_from_embeddings,
-/// the serving dispatcher's hot path) must be bit-identical to the
-/// request-at-a-time predict() on the exact golden fig5 pipeline: design C2
-/// at the bench's default scale under W1 over 300 cycles. This ties the
-/// serve-path property suite to the same deterministic inputs the committed
-/// CSVs pin, so a fused-kernel numerics drift fails alongside the golden
-/// columns instead of only in small synthetic tests.
+/// The fused inference path — predict() and the serving dispatcher's
+/// encode_batch + predict_from_embeddings — must be bit-identical to the
+/// serial reference encoder (one SgFormer::forward per sub-module and
+/// cycle) on the exact golden fig5 pipeline: design C2 at the bench's
+/// default scale under W1 over 300 cycles. This ties the serve-path
+/// property suite to the same deterministic inputs the committed CSVs pin,
+/// so a fused-kernel numerics drift fails alongside the golden columns
+/// instead of only in small synthetic tests.
 TEST(GoldenFig5Test, FusedBatchedPredictionBitIdenticalOnGoldenC2) {
   struct ThreadCountGuard {
     ~ThreadCountGuard() { util::set_global_threads(0); }
   } guard;
 
   // A small trained model (same recipe as the atlas unit suite) — the test
-  // pins fused-vs-solo identity, not prediction quality.
+  // pins fused-vs-serial identity, not prediction quality.
   const liberty::Library lib = liberty::make_default_library();
   core::PreprocessConfig pcfg_data;
   pcfg_data.cycles = 40;
@@ -168,11 +170,29 @@ TEST(GoldenFig5Test, FusedBatchedPredictionBitIdenticalOnGoldenC2) {
   sim::StimulusGenerator stim_gate(gate, sim::make_w1());
   const sim::ToggleTrace trace = sim_gate.run(stim_gate, kCycles);
 
-  const core::Prediction ref = model.predict(gate, graphs, trace);
+  const core::Prediction ref =
+      oracle::serial_predict(model, gate, graphs, trace);
   ASSERT_EQ(ref.num_cycles, kCycles);
 
-  for (const unsigned threads : {1u, 8u}) {
+  const auto expect_same = [&](const core::Prediction& p, unsigned threads,
+                               const char* path) {
+    ASSERT_EQ(p.num_cycles, ref.num_cycles) << path;
+    ASSERT_EQ(p.num_submodules, ref.num_submodules) << path;
+    for (int c = 0; c < ref.num_cycles; ++c) {
+      const power::GroupPower& a = ref.at(c);
+      const power::GroupPower& b = p.at(c);
+      ASSERT_EQ(a.comb, b.comb)
+          << path << " threads=" << threads << " cycle=" << c;
+      ASSERT_EQ(a.clock, b.clock)
+          << path << " threads=" << threads << " cycle=" << c;
+      ASSERT_EQ(a.reg, b.reg)
+          << path << " threads=" << threads << " cycle=" << c;
+    }
+  };
+
+  for (const unsigned threads : {1u, 3u, 8u}) {
     util::set_global_threads(threads);
+    expect_same(model.predict(gate, graphs, trace), threads, "predict");
     core::DesignEmbeddings emb;
     core::AtlasModel::EncodeItem item;
     item.gate = &gate;
@@ -181,17 +201,8 @@ TEST(GoldenFig5Test, FusedBatchedPredictionBitIdenticalOnGoldenC2) {
     item.out = &emb;
     util::Arena arena;
     model.encode_batch(&item, 1, arena);
-    const core::Prediction fused =
-        model.predict_from_embeddings(gate, graphs, emb, &arena);
-    ASSERT_EQ(fused.num_cycles, ref.num_cycles);
-    ASSERT_EQ(fused.num_submodules, ref.num_submodules);
-    for (int c = 0; c < ref.num_cycles; ++c) {
-      const power::GroupPower& a = ref.at(c);
-      const power::GroupPower& b = fused.at(c);
-      ASSERT_EQ(a.comb, b.comb) << "threads=" << threads << " cycle=" << c;
-      ASSERT_EQ(a.clock, b.clock) << "threads=" << threads << " cycle=" << c;
-      ASSERT_EQ(a.reg, b.reg) << "threads=" << threads << " cycle=" << c;
-    }
+    expect_same(model.predict_from_embeddings(gate, graphs, emb, &arena),
+                threads, "encode_batch");
   }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -88,6 +91,55 @@ TEST(MatrixTest, ParallelMatmulBitIdenticalToSerial) {
     }
   }
   util::set_global_threads(0);
+}
+
+// Scalar reference for raw::gemm_rows: the same loop nest and k order,
+// compiled with vectorization off, so the production kernel's vector loop
+// (and its epilogue) is checked against plain one-lane arithmetic.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((noinline, optimize("no-tree-vectorize")))
+#endif
+void scalar_gemm_rows(const float* a, std::size_t a_cols, const float* b,
+                      std::size_t b_cols, float* c, std::size_t r0,
+                      std::size_t r1) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    for (std::size_t k = 0; k < a_cols; ++k) {
+      const float av = a[i * a_cols + k];
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < b_cols; ++j) {
+        c[i * b_cols + j] += av * b[k * b_cols + j];
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, GemmRowsBitIdenticalToScalarReference) {
+  // Widths around the vector length hit the vector body, its epilogue and
+  // the pure-scalar case; zeros in A hit the av == 0 skip; rows outside
+  // [r0, r1) must stay untouched.
+  util::Rng rng(29);
+  const std::size_t rows = 11, r0 = 3, r1 = 10;
+  for (const std::size_t a_cols : {1u, 7u, 24u}) {
+    for (const std::size_t b_cols : {1u, 3u, 5u, 16u, 31u, 32u, 33u}) {
+      Matrix a = Matrix::randn(rows, a_cols, rng, 1.0f);
+      for (std::size_t i = 0; i < a.size(); i += 3) a.data()[i] = 0.0f;
+      const Matrix b = Matrix::randn(a_cols, b_cols, rng, 1.0f);
+      Matrix got(rows, b_cols, 7.0f);
+      Matrix want(rows, b_cols, 7.0f);
+      for (std::size_t i = r0; i < r1; ++i) {
+        std::fill(got.row(i), got.row(i) + b_cols, 0.0f);
+        std::fill(want.row(i), want.row(i) + b_cols, 0.0f);
+      }
+      raw::gemm_rows(a.data(), a_cols, b.data(), b_cols, got.data(), r0, r1);
+      scalar_gemm_rows(a.data(), a_cols, b.data(), b_cols, want.data(), r0,
+                       r1);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data()[i]),
+                  std::bit_cast<std::uint32_t>(want.data()[i]))
+            << "a_cols=" << a_cols << " b_cols=" << b_cols << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, ShapeMismatchThrows) {

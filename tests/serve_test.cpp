@@ -1477,6 +1477,30 @@ TEST_F(ServeTest, FeatureCacheEmbeddingLayerBoundsAndEviction) {
   EXPECT_EQ(cache.find_embeddings(99, {"m", "w1", 10}), nullptr);
 }
 
+TEST_F(ServeTest, FeatureCacheEmbeddingEvictionIsLeastRecentlyUsed) {
+  // Regression: the per-design embedding layer evicted the oldest-inserted
+  // key even when it was the hottest, so the 8th one-off trace on a design
+  // evicted its warm key and the next warm request paid a full re-encode.
+  // A hit must refresh the key: a hot key hit between 8 cold inserts
+  // survives, and the least recently used cold key goes instead.
+  FeatureCache cache(/*max_designs=*/2, /*max_embeddings_per_design=*/8);
+  cache.put_design(1, dummy_design(*lib_));
+  auto emb = std::make_shared<const core::DesignEmbeddings>();
+  const EmbeddingKey hot{"m", "w1", 300};
+  cache.put_embeddings(1, hot, emb);
+  for (std::int32_t i = 0; i < 8; ++i) {
+    ASSERT_NE(cache.find_embeddings(1, hot), nullptr) << "before insert " << i;
+    cache.put_embeddings(1, {"m", "external", 30, 100u + i}, emb);
+  }
+  EXPECT_NE(cache.find_embeddings(1, hot), nullptr);
+  EXPECT_EQ(cache.find_embeddings(1, {"m", "external", 30, 100u}), nullptr);
+  for (std::int32_t i = 1; i < 8; ++i) {
+    EXPECT_NE(cache.find_embeddings(1, {"m", "external", 30, 100u + i}),
+              nullptr)
+        << i;
+  }
+}
+
 /// DesignEmbeddings whose approx_bytes() is dominated by one matrix of
 /// `rows` x 16 floats — lets a test dial entry weights apart.
 std::shared_ptr<const core::DesignEmbeddings> embeddings_of_rows(
@@ -1814,34 +1838,29 @@ TEST_F(ServeTest, WantTimingReturnsPerPhaseBreakdown) {
 TEST_F(ServeTest, TimingPhasesSumToTotalWithBatchWaitSplit) {
   // Regression: batch_wait_us used to be folded into queue_us, so the
   // phases double-counted the pre-dispatch interval and could exceed
-  // total_us. The split must hold on both execution paths, and the
-  // dispatch-delay hook (which runs *after* the batch is formed) must land
-  // in queue_us, not batch_wait_us.
-  for (const bool fused : {true, false}) {
-    ServerConfig cfg = loopback_config();
-    cfg.fused_batching = fused;
-    cfg.dispatch_delay_for_test_ms = 20;
-    Server server(cfg, make_registry());
-    server.start();
-    Client client = Client::connect_tcp("127.0.0.1", server.port());
+  // total_us. The dispatch-delay hook (which runs *after* the batch is
+  // formed) must land in queue_us, not batch_wait_us.
+  ServerConfig cfg = loopback_config();
+  cfg.dispatch_delay_for_test_ms = 20;
+  Server server(cfg, make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
 
-    PredictRequest req = make_request();
-    req.ext.want_timing = true;
-    const PredictResponse resp = client.predict(req);
-    server.stop();
+  PredictRequest req = make_request();
+  req.ext.want_timing = true;
+  const PredictResponse resp = client.predict(req);
+  server.stop();
 
-    ASSERT_TRUE(resp.has_timing) << "fused=" << fused;
-    EXPECT_LE(resp.timing.batch_wait_us + resp.timing.queue_us +
-                  resp.timing.cache_us + resp.timing.encode_us +
-                  resp.timing.predict_us + resp.timing.serialize_us,
-              resp.timing.total_us)
-        << "fused=" << fused;
-    // The 20ms dispatch delay is queue time (batch formed, not yet
-    // running); batch wait only covers enqueue -> batch formation, which
-    // is microseconds on an idle server.
-    EXPECT_GE(resp.timing.queue_us, 20'000u) << "fused=" << fused;
-    EXPECT_LT(resp.timing.batch_wait_us, 20'000u) << "fused=" << fused;
-  }
+  ASSERT_TRUE(resp.has_timing);
+  EXPECT_LE(resp.timing.batch_wait_us + resp.timing.queue_us +
+                resp.timing.cache_us + resp.timing.encode_us +
+                resp.timing.predict_us + resp.timing.serialize_us,
+            resp.timing.total_us);
+  // The 20ms dispatch delay is queue time (batch formed, not yet
+  // running); batch wait only covers enqueue -> batch formation, which
+  // is microseconds on an idle server.
+  EXPECT_GE(resp.timing.queue_us, 20'000u);
+  EXPECT_LT(resp.timing.batch_wait_us, 20'000u);
 }
 
 /// Restores the global pool size no matter how a test exits.
@@ -1855,9 +1874,7 @@ TEST_F(ServeTest, FusedBatchingBitIdenticalAcrossBatchSizesAndThreads) {
   // batch composition, cold or warm cache. Pseudo-random volley sizes
   // straddle batch_max so batches of 1..8 all occur; concurrent identical
   // requests inside one volley also race the cache inserts, exercising the
-  // winner-return path end to end. The reference (request-at-a-time) path
-  // runs the same volleys and must match the same direct predictions —
-  // making fused and unfused transitively bit-identical.
+  // winner-return path end to end.
   const core::Prediction expected_w2 = direct_predict("w2");
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
   const auto next = [&rng]() {
@@ -1867,42 +1884,37 @@ TEST_F(ServeTest, FusedBatchingBitIdenticalAcrossBatchSizesAndThreads) {
   ThreadCountGuard guard;
   for (const int threads : {1, 3, 8}) {
     util::set_global_threads(threads);
-    for (const bool fused : {true, false}) {
-      ServerConfig cfg = loopback_config();
-      cfg.fused_batching = fused;
-      Server server(cfg, make_registry());
-      server.start();
-      // Round 0 is a cold cache (fresh server); later rounds are warm.
-      for (int round = 0; round < 3; ++round) {
-        const std::size_t n = 1 + next() % 12;
-        std::vector<std::string> workloads(n);
-        for (std::string& w : workloads) w = (next() & 1) ? "w2" : "w1";
-        std::vector<PredictResponse> resp(n);
-        std::vector<std::thread> senders;
-        senders.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          senders.emplace_back([&, i] {
-            Client c = Client::connect_tcp("127.0.0.1", server.port());
-            resp[i] = c.predict(make_request(workloads[i]));
-          });
-        }
-        for (std::thread& t : senders) t.join();
-        for (std::size_t i = 0; i < n; ++i) {
-          const core::Prediction& expected =
-              workloads[i] == "w2" ? expected_w2 : *expected_w1_;
-          ASSERT_EQ(resp[i].design.size(), expected.design.size())
-              << "threads=" << threads << " fused=" << fused
-              << " round=" << round << " i=" << i;
-          EXPECT_TRUE(same_bits(resp[i].design, expected.design))
-              << "threads=" << threads << " fused=" << fused
-              << " round=" << round << " i=" << i << " w=" << workloads[i];
-          EXPECT_TRUE(same_bits(resp[i].submodule, expected.submodule))
-              << "threads=" << threads << " fused=" << fused
-              << " round=" << round << " i=" << i << " w=" << workloads[i];
-        }
+    Server server(loopback_config(), make_registry());
+    server.start();
+    // Round 0 is a cold cache (fresh server); later rounds are warm.
+    for (int round = 0; round < 3; ++round) {
+      const std::size_t n = 1 + next() % 12;
+      std::vector<std::string> workloads(n);
+      for (std::string& w : workloads) w = (next() & 1) ? "w2" : "w1";
+      std::vector<PredictResponse> resp(n);
+      std::vector<std::thread> senders;
+      senders.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        senders.emplace_back([&, i] {
+          Client c = Client::connect_tcp("127.0.0.1", server.port());
+          resp[i] = c.predict(make_request(workloads[i]));
+        });
       }
-      server.stop();
+      for (std::thread& t : senders) t.join();
+      for (std::size_t i = 0; i < n; ++i) {
+        const core::Prediction& expected =
+            workloads[i] == "w2" ? expected_w2 : *expected_w1_;
+        ASSERT_EQ(resp[i].design.size(), expected.design.size())
+            << "threads=" << threads << " round=" << round << " i=" << i;
+        EXPECT_TRUE(same_bits(resp[i].design, expected.design))
+            << "threads=" << threads << " round=" << round << " i=" << i
+            << " w=" << workloads[i];
+        EXPECT_TRUE(same_bits(resp[i].submodule, expected.submodule))
+            << "threads=" << threads << " round=" << round << " i=" << i
+            << " w=" << workloads[i];
+      }
     }
+    server.stop();
   }
 }
 
