@@ -135,13 +135,15 @@ void BM_SgFormerForwardFused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(kSegments * n));
 }
-// Wall-clock rates: the kernels fan out over the thread pool.
-BENCHMARK(BM_SgFormerForwardFused)->Arg(64)->Arg(256)->Arg(1024)->UseRealTime();
+// A serial kernel: encode_batch runs one call per row block on each pool
+// thread, so this times one core's share of the encoder.
+BENCHMARK(BM_SgFormerForwardFused)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_EncodeBatch(benchmark::State& state) {
   // The whole inference encoder on a real design: every (sub-module,
-  // cycle) of a W1 trace through core::encode_batch. Items = encoded
-  // (sub-module, cycle) embeddings.
+  // cycle) of a W1 trace through core::encode_batch, at range(1) threads
+  // (the row blocks are the parallel axis, so 1 vs 2 vs 4 is the encoder's
+  // parallel efficiency). Items = encoded (sub-module, cycle) embeddings.
   const netlist::Netlist& nl = design();
   const std::vector<graph::SubmoduleGraph> graphs =
       graph::build_submodule_graphs(nl);
@@ -154,16 +156,22 @@ void BM_EncodeBatch(benchmark::State& state) {
   cfg.dim = 32;
   const ml::SgFormer enc(cfg);
   util::Arena arena;
+  util::set_global_threads(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     core::DesignEmbeddings emb;
     const core::EncodeItem item{&nl, &graphs, &trace, &emb};
     core::encode_batch(enc, &item, 1, arena);
     benchmark::DoNotOptimize(emb.graphs.data());
   }
+  util::set_global_threads(0);
   state.SetItemsProcessed(state.iterations() * cycles *
                           static_cast<long>(graphs.size()));
 }
-BENCHMARK(BM_EncodeBatch)->Arg(50)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_EncodeBatch)
+    ->ArgsProduct({{50}, {1, 2, 4}})
+    ->ArgNames({"cycles", "threads"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_GbdtPredictRows(benchmark::State& state) {
   util::Rng rng(7);

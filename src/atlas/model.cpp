@@ -117,66 +117,81 @@ void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
     r.adj = ml::SgFormer::build_norm_adjacency(r.g->num_nodes(), &r.g->edges);
   });
 
-  // Flatten to (graph, encoded cycle) segments and run the fused encoder
-  // over row blocks. Blocking only bounds peak scratch — segment results
-  // never cross block boundaries, so the split points cannot affect
-  // numerics.
+  // Flatten to (graph, encoded cycle) segments and cut them into row
+  // blocks. A block never splits a segment, and each segment's result
+  // depends on its own rows alone, so the split points cannot affect
+  // numerics. The index arrays live in the caller's arena until return.
+  std::size_t num_segs = 0;
+  for (const GraphRef& r : grefs) num_segs += static_cast<std::size_t>(r.rows);
+  if (num_segs == 0) return;
+  const util::Arena::Marker marker = arena.mark();
   struct Seg {
     const GraphRef* ref = nullptr;
     int row = 0;
   };
-  std::vector<ml::SgFormer::Segment> segs;
-  std::vector<Seg> meta;
+  ml::SgFormer::Segment* segs =
+      arena.alloc_array<ml::SgFormer::Segment>(num_segs);
+  Seg* meta = arena.alloc_array<Seg>(num_segs);
+  std::size_t s = 0;
   for (const GraphRef& r : grefs) {
-    for (int k = 0; k < r.rows; ++k) {
-      segs.push_back(ml::SgFormer::Segment{r.g->num_nodes(), &r.adj});
-      meta.push_back(Seg{&r, k});
+    for (int k = 0; k < r.rows; ++k, ++s) {
+      segs[s] = ml::SgFormer::Segment{r.g->num_nodes(), &r.adj};
+      meta[s] = Seg{&r, k};
     }
   }
+  const std::size_t max_rows = encode_block_rows(encoder);
+  std::size_t* block_begin = arena.alloc_array<std::size_t>(num_segs + 1);
+  std::size_t num_blocks = 0;
+  for (std::size_t s0 = 0; s0 < num_segs; ++num_blocks) {
+    block_begin[num_blocks] = s0;
+    std::size_t rows = segs[s0].num_nodes;
+    for (++s0; s0 < num_segs && rows + segs[s0].num_nodes <= max_rows; ++s0) {
+      rows += segs[s0].num_nodes;
+    }
+  }
+  block_begin[num_blocks] = num_segs;
 
-  // Rows per block: the block's feature rows plus forward_fused's
-  // activations fit a fixed scratch budget no larger than one core's L2
-  // (1 MiB: ~930 rows at dim 32), so the working set stays cache-resident
-  // and peak scratch does not scale with the batch (always at least one
-  // segment per block).
-  constexpr std::size_t kBlockScratchBytes = 1u << 20;
+  // One pool task per block: fill features, run the serial fused kernel,
+  // copy out the graph embeddings. Scratch comes from the executing
+  // thread's own arena, recycled per block (tasks on one thread never
+  // overlap: forward_fused opens no region).
   const std::size_t feat_dim = static_cast<std::size_t>(graph::kFeatureDim);
-  const std::size_t max_rows =
-      kBlockScratchBytes /
-      (encoder.fused_scratch_bytes_per_row() + feat_dim * sizeof(float));
-  std::size_t s0 = 0;
-  while (s0 < segs.size()) {
-    std::size_t s1 = s0;
+  util::parallel_for(num_blocks, 1, [&](std::size_t b) {
+    thread_local util::Arena scratch;
+    scratch.reset();
+    const std::size_t s0 = block_begin[b];
+    const std::size_t count = block_begin[b + 1] - s0;
     std::size_t rows = 0;
-    while (s1 < segs.size() &&
-           (s1 == s0 || rows + segs[s1].num_nodes <= max_rows)) {
-      rows += segs[s1].num_nodes;
-      ++s1;
-    }
-    const std::size_t count = s1 - s0;
-    const util::Arena::Marker marker = arena.mark();
-    std::size_t* off = arena.alloc_array<std::size_t>(count + 1);
-    off[0] = 0;
+    for (std::size_t k = 0; k < count; ++k) rows += segs[s0 + k].num_nodes;
+    float* feats = scratch.alloc_array<float>(rows * feat_dim);
+    float* gemb = scratch.alloc_array<float>(count * d);
+    float* f = feats;
     for (std::size_t k = 0; k < count; ++k) {
-      off[k + 1] = off[k] + segs[s0 + k].num_nodes;
-    }
-    float* feats = arena.alloc_array<float>(rows * feat_dim);
-    float* gemb = arena.alloc_array<float>(count * d);
-    util::parallel_for(count, 1, [&](std::size_t k) {
       const Seg& m = meta[s0 + k];
       graph::fill_cycle_features(*m.ref->g, *m.ref->trace,
-                                 m.row * m.ref->stride,
-                                 feats + off[k] * feat_dim);
-    });
-    encoder.forward_fused(segs.data() + s0, count, feats, gemb, arena);
-    util::parallel_for(count, 1, [&](std::size_t k) {
+                                 m.row * m.ref->stride, f);
+      f += segs[s0 + k].num_nodes * feat_dim;
+    }
+    encoder.forward_fused(segs + s0, count, feats, gemb, scratch);
+    for (std::size_t k = 0; k < count; ++k) {
       const Seg& m = meta[s0 + k];
       std::copy(gemb + k * d, gemb + (k + 1) * d,
                 m.ref->pg->emb.row(static_cast<std::size_t>(m.row)));
-    });
-    arena.rewind(marker);
-    s0 = s1;
-  }
+    }
+  });
+  arena.rewind(marker);
+}
+
+std::size_t encode_block_rows(const ml::SgFormer& encoder) {
+  // A block's feature rows plus forward_fused's eight activation buffers
+  // fit a fixed 256 KiB scratch budget (~230 rows at dim 32): small enough
+  // that every thread's block stays in its core's L2 beside the weights,
+  // and that per-thread arenas add little to peak RSS. Blocks are also the
+  // unit of parallelism, so smaller blocks balance the pool better.
+  constexpr std::size_t kBlockScratchBytes = std::size_t{256} << 10;
+  const std::size_t feat_dim = static_cast<std::size_t>(graph::kFeatureDim);
+  return kBlockScratchBytes /
+         (encoder.fused_scratch_bytes_per_row() + feat_dim * sizeof(float));
 }
 
 Prediction AtlasModel::predict_from_embeddings(

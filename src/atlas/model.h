@@ -71,16 +71,22 @@ struct EncodeItem {
 
 /// Stage 1 of prediction, the only inference encoder: packs every
 /// (item, sub-module, encoded cycle) into row blocks and runs the encoder's
-/// fused kernels over them — one GEMM per layer over the concatenated node
-/// features. Each graph's normalized adjacency is built once and shared
-/// across its cycles. A block's row count follows from a fixed scratch
-/// budget sized to a core's L2, so peak scratch does not grow with the
-/// batch. Scratch (feature rows, activations, embeddings) is bump-allocated
-/// from `arena` and rewound per block. Each embedding row is bit-identical
-/// to SgFormer::forward on that (graph, cycle) alone, at any thread count
-/// and any batch composition.
+/// fused kernel over each — one GEMM per layer over the block's
+/// concatenated node features. Each graph's normalized adjacency is built
+/// once and shared across its cycles. The call opens two pool regions
+/// whatever the batch size: one over graphs for the per-graph setup, one
+/// over row blocks, where each task fills its block's features, runs
+/// SgFormer::forward_fused serially and copies out the embeddings. Block
+/// scratch comes from a per-thread arena, so peak scratch does not grow
+/// with the batch; `arena` holds only the per-call index arrays. Each
+/// embedding row is bit-identical to SgFormer::forward on that
+/// (graph, cycle) alone, at any thread count and any batch composition.
 void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
                   std::size_t n, util::Arena& arena);
+
+/// Most rows encode_batch packs into one block (a block always holds at
+/// least one whole segment, so a larger graph gets a block of its own).
+std::size_t encode_block_rows(const ml::SgFormer& encoder);
 
 class AtlasModel {
  public:

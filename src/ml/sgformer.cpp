@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace atlas::ml {
@@ -173,8 +172,6 @@ void SgFormer::forward_fused(const Segment* segs, std::size_t num_segs,
   const std::size_t total = off[num_segs];
   forward_counter().inc(num_segs);
 
-  // All scratch up front, on the calling thread (Arena is single-threaded;
-  // worker lambdas below only touch disjoint row ranges of these buffers).
   float* h = arena.alloc_array<float>(total * d);
   float* q = arena.alloc_array<float>(total * d);
   float* k = arena.alloc_array<float>(total * d);
@@ -185,30 +182,23 @@ void SgFormer::forward_fused(const Segment* segs, std::size_t num_segs,
   float* emb = arena.alloc_array<float>(total * d);
   float* ktv = arena.alloc_array<float>(num_segs * d * d);
   std::fill(ktv, ktv + num_segs * d * d, 0.0f);
-
   // GEMM accumulators must start at zero, matching matmul()'s zero-init.
-  const std::size_t grain = 64;  // rows per chunk for whole-batch GEMMs
-  util::parallel_for_chunks(total, grain, [&](std::size_t r0, std::size_t r1) {
-    const std::size_t n = (r1 - r0) * d;
-    for (float* buf : {h, q, k, v, att, ah, gcn, emb}) {
-      std::fill(buf + r0 * d, buf + r0 * d + n, 0.0f);
-    }
-    // H = ReLU(X W_in + b_in), one fused row-chunk pass.
-    raw::gemm_rows(features, in_dim, w_in_.data(), d, h, r0, r1);
-    raw::add_row_bias_rows(h, d, b_in_.data(), r0, r1);
-    raw::relu(h + r0 * d, n);
-  });
+  for (float* buf : {h, q, k, v, att, ah, gcn, emb}) {
+    std::fill(buf, buf + total * d, 0.0f);
+  }
 
-  // Q/K/V projections over the whole concatenated batch.
-  util::parallel_for_chunks(total, grain, [&](std::size_t r0, std::size_t r1) {
-    raw::gemm_rows(h, d, wq_.data(), d, q, r0, r1);
-    raw::gemm_rows(h, d, wk_.data(), d, k, r0, r1);
-    raw::gemm_rows(h, d, wv_.data(), d, v, r0, r1);
-  });
+  // H = ReLU(X W_in + b_in), then the Q/K/V projections, each one GEMM over
+  // the whole concatenated block.
+  raw::gemm_rows(features, in_dim, w_in_.data(), d, h, 0, total);
+  raw::add_row_bias_rows(h, d, b_in_.data(), 0, total);
+  raw::relu(h, total * d);
+  raw::gemm_rows(h, d, wq_.data(), d, q, 0, total);
+  raw::gemm_rows(h, d, wk_.data(), d, k, 0, total);
+  raw::gemm_rows(h, d, wv_.data(), d, v, 0, total);
 
   // Per-segment reductions: K^T V, attention normalization + skip, and
   // A_norm propagation — each in forward()'s exact serial order.
-  util::parallel_for(num_segs, 1, [&](std::size_t s) {
+  for (std::size_t s = 0; s < num_segs; ++s) {
     const std::size_t r0 = off[s];
     const std::size_t n = segs[s].num_nodes;
     float* kt = ktv + s * d * d;
@@ -233,29 +223,27 @@ void SgFormer::forward_fused(const Segment* segs, std::size_t num_segs,
       float* dst = y + i * d;
       for (std::size_t c = 0; c < d; ++c) dst[c] += w * src[c];
     }
-  });
+  }
 
   // GCN projection, branch combine, ReLU, output projection — all row-local,
-  // so one fused row-chunk pass over the whole batch.
+  // so whole-block passes.
   const float alpha = config_.alpha;
   const float beta = 1.0f - config_.alpha;
-  util::parallel_for_chunks(total, grain, [&](std::size_t r0, std::size_t r1) {
-    raw::gemm_rows(ah, d, wg_.data(), d, gcn, r0, r1);
-    for (std::size_t i = r0 * d; i < r1 * d; ++i) {
-      float cv = gcn[i] * beta;
-      const float as = att[i] * alpha;
-      cv += as;
-      gcn[i] = cv;
-    }
-    raw::relu(gcn + r0 * d, (r1 - r0) * d);
-    raw::gemm_rows(gcn, d, w_out_.data(), d, emb, r0, r1);
-    raw::add_row_bias_rows(emb, d, b_out_.data(), r0, r1);
-  });
+  raw::gemm_rows(ah, d, wg_.data(), d, gcn, 0, total);
+  for (std::size_t i = 0; i < total * d; ++i) {
+    float cv = gcn[i] * beta;
+    const float as = att[i] * alpha;
+    cv += as;
+    gcn[i] = cv;
+  }
+  raw::relu(gcn, total * d);
+  raw::gemm_rows(gcn, d, w_out_.data(), d, emb, 0, total);
+  raw::add_row_bias_rows(emb, d, b_out_.data(), 0, total);
 
   // Per-segment mean pool into the caller's output rows.
-  util::parallel_for(num_segs, 1, [&](std::size_t s) {
+  for (std::size_t s = 0; s < num_segs; ++s) {
     raw::mean_rows(emb + off[s] * d, segs[s].num_nodes, d, graph_emb + s * d);
-  });
+  }
 }
 
 void SgFormer::backward(const Cache& c, const Matrix& d_node,

@@ -85,15 +85,16 @@ class SgFormer {
   /// are packed row-major into `features` (sum of num_nodes x in_dim).
   /// Writes segment s's 1 x dim graph embedding to graph_emb + s * dim.
   ///
-  /// The per-node projections run as one GEMM per layer over the whole
-  /// concatenated row block (parallelized over row chunks); attention
-  /// normalization, adjacency propagation, and the mean pool stay
-  /// per-segment. Every output row of the shared GEMM kernel depends only
-  /// on its own input row, and all per-segment reductions (K^T V, A_norm
-  /// propagation, mean pool) run in the same serial order as forward(), so
-  /// the result is bit-identical to calling forward() once per segment —
-  /// at any thread count and any batch composition. Scratch comes from
-  /// `arena` (no heap traffic when the arena is recycled).
+  /// A serial kernel over one row block: callers parallelize across
+  /// blocks (core::encode_batch runs one pool task per block). The
+  /// per-node projections run as one GEMM per layer over the whole
+  /// concatenated block; attention normalization, adjacency propagation,
+  /// and the mean pool stay per-segment. Every output row of the shared
+  /// GEMM kernel depends only on its own input row, and all per-segment
+  /// reductions (K^T V, A_norm propagation, mean pool) run in the same
+  /// serial order as forward(), so the result is bit-identical to calling
+  /// forward() once per segment, for any batch composition. Scratch comes
+  /// from `arena` (no heap traffic when the arena is recycled).
   void forward_fused(const Segment* segs, std::size_t num_segs,
                      const float* features, float* graph_emb,
                      util::Arena& arena) const;

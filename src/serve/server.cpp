@@ -455,7 +455,7 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
 
   // Phase B: one fused encode per distinct model over every job that
   // missed the embedding cache, on the dispatcher thread — the pool's
-  // threads parallelize inside encode_batch's row-chunked kernels, which
+  // threads parallelize across encode_batch's row blocks, which
   // beats one-request-per-thread for the matmul-bound encoder. Jobs on the
   // same model share one call even across different designs. The encoder
   // spans emitted here are batch-level (no single request's context could
@@ -520,7 +520,9 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
     }
   }
 
-  // Phase C: heads, serialization and promise fulfillment fan back out.
+  // Phase C: heads, serialization and promise fulfillment fan back out. A
+  // lone job runs on this thread outside any region, so its heads use the
+  // whole pool.
   util::ThreadPool::global().run(n, [&](std::size_t i) {
     complete_fused_job(*batch[i], preps[i]);
   });

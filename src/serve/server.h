@@ -20,15 +20,18 @@
 //     util::ThreadPool::global() (parse, cache probes, stimulus), then all
 //     jobs that need the encoder run as ONE fused AtlasModel::encode_batch
 //     call per model on the dispatcher thread — so the pool's threads
-//     parallelize *inside* the batched kernels (row-chunked GEMMs over the
-//     concatenated node features) instead of one request each — then
-//     per-job heads + serialization fan out on the pool again. Scratch for
-//     the fused kernels comes from a recycled util::ArenaPool, so
-//     steady-state batches allocate nothing. Every reply is bit-identical
-//     to AtlasModel::predict on the same inputs at any batch size and
-//     thread count: the fused encoder replays the exact per-graph op order
-//     (see ml/sgformer.h), and the pool is non-reentrant so handler-internal
-//     parallel loops run inline — the determinism contract tests pin this.
+//     parallelize across its row blocks instead of one request each — then
+//     per-job heads + serialization fan out on the pool again. A batch of
+//     one is not a parallel region (see util/parallel.h), so a lone
+//     request's prework and heads run on the dispatcher thread and their
+//     inner loops still spread over the pool. Scratch for the fused
+//     kernels comes from a recycled util::ArenaPool, so steady-state
+//     batches allocate nothing. Every reply is bit-identical to
+//     AtlasModel::predict on the same inputs at any batch size and thread
+//     count: the fused encoder replays the exact per-graph op order (see
+//     ml/sgformer.h), and every parallel loop's split depends only on the
+//     problem shape; loops nested inside a multi-job batch run inline —
+//     the determinism contract tests pin this.
 //
 // Failure containment: any malformed frame, undecodable payload, unknown
 // model/workload, or handler exception turns into an Error response (or at
@@ -255,7 +258,7 @@ class Server {
   /// out on the pool (prepare_predict under the job's trace scope), phase
   /// B runs ONE AtlasModel::encode_batch per distinct model over all jobs
   /// that missed the embedding cache (dispatcher thread; the pool threads
-  /// parallelize inside the fused kernels), phase C fans per-job heads +
+  /// parallelize across its row blocks), phase C fans per-job heads +
   /// serialization + promise fulfillment back out on the pool. Scratch for
   /// the fused kernels is borrowed from arena_pool_.
   void run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch);

@@ -18,7 +18,7 @@ namespace {
 struct PoolMetrics {
   obs::Counter& batches;        // pool batches dispatched (incl. inline)
   obs::Counter& tasks;          // chunk tasks executed
-  obs::Counter& inline_tasks;   // tasks run inline (serial/nested/fallback)
+  obs::Counter& inline_tasks;   // tasks run inline (serial/nested/single/fallback)
   obs::Counter& busy_us;        // summed per-worker chunk execution time
   obs::Histogram& queue_wait;   // us between batch post and chunk start
 };
@@ -144,8 +144,16 @@ void ThreadPool::run(std::size_t num_tasks,
                      const std::function<void(std::size_t)>& task) {
   if (num_tasks == 0) return;
   PoolMetrics& pm = pool_metrics();
-  // Serial pool, single task, or nested call: run inline in index order.
-  if (num_threads_ == 1 || num_tasks == 1 || tl_parallel_depth > 0) {
+  // A lone task outside any region runs on the caller without opening one,
+  // so the parallel loops inside it still fan out across the pool.
+  if (num_tasks == 1 && tl_parallel_depth == 0) {
+    pm.batches.inc();
+    pm.inline_tasks.inc();
+    task(0);
+    return;
+  }
+  // Serial pool or nested call: run inline in index order.
+  if (num_threads_ == 1 || tl_parallel_depth > 0) {
     pm.batches.inc();
     pm.inline_tasks.inc(num_tasks);
     ++tl_parallel_depth;

@@ -11,7 +11,9 @@
 //   2. **Serial fallback.** With one thread (`set_global_threads(1)`), a
 //      single chunk, or inside an already-parallel region, all work runs
 //      inline on the calling thread — same chunk order, same numerics, no
-//      pool interaction.
+//      pool interaction. A single task outside any region also runs on the
+//      caller, but without opening a region: loops nested inside it still
+//      fan out across the pool, so a batch of one keeps every core.
 //   3. **Coarse dispatch.** Chunks are meant to be large (thousands of
 //      cells/rows); dispatch takes the pool mutex per chunk, which is
 //      negligible at that granularity and keeps the pool logic simple
@@ -62,7 +64,9 @@ class ThreadPool {
 
   /// Run task(i) for i in [0, num_tasks); blocks until all complete.
   /// The first exception thrown by any task is rethrown here after the
-  /// batch drains. Reentrant calls (from inside a task) run inline.
+  /// batch drains. Reentrant calls (from inside a task) run inline; a
+  /// single task outside any region runs on the caller and is not itself
+  /// a parallel region.
   void run(std::size_t num_tasks, const std::function<void(std::size_t)>& task);
 
   /// The process-wide pool, sized by set_global_threads().

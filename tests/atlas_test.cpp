@@ -11,6 +11,7 @@
 #include "atlas/preprocess.h"
 #include "atlas/pretrain.h"
 #include "netlist/verilog_io.h"
+#include "obs/metrics.h"
 #include "serial_encode_oracle.h"
 #include "util/arena.h"
 #include "util/parallel.h"
@@ -338,13 +339,61 @@ TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
                std::invalid_argument);
 }
 
+/// Nodes [begin, end) of `g` as a graph of their own, keeping the edges
+/// that stay inside the range.
+graph::SubmoduleGraph slice_graph(const graph::SubmoduleGraph& g,
+                                  std::size_t begin, std::size_t end) {
+  graph::SubmoduleGraph out;
+  out.submodule = g.submodule;
+  out.static_features = ml::Matrix(end - begin, g.static_features.cols());
+  for (std::size_t i = begin; i < end; ++i) {
+    out.cells.push_back(g.cells[i]);
+    out.out_net.push_back(g.out_net[i]);
+    out.node_type.push_back(g.node_type[i]);
+    std::copy(g.static_features.row(i),
+              g.static_features.row(i) + g.static_features.cols(),
+              out.static_features.row(i - begin));
+  }
+  for (const auto& [a, b] : g.edges) {
+    if (a >= begin && a < end && b >= begin && b < end) {
+      out.edges.emplace_back(static_cast<std::uint32_t>(a - begin),
+                             static_cast<std::uint32_t>(b - begin));
+    }
+  }
+  return out;
+}
+
+/// Every graph of `parts` as one graph, edges offset per part.
+graph::SubmoduleGraph concat_graphs(
+    const std::vector<graph::SubmoduleGraph>& parts) {
+  std::size_t total = 0;
+  for (const graph::SubmoduleGraph& g : parts) total += g.num_nodes();
+  graph::SubmoduleGraph out;
+  out.submodule = parts.front().submodule;
+  out.static_features = ml::Matrix(total, graph::kFeatureDim);
+  for (const graph::SubmoduleGraph& g : parts) {
+    const auto base = static_cast<std::uint32_t>(out.cells.size());
+    for (const auto& [a, b] : g.edges) out.edges.emplace_back(a + base, b + base);
+    std::copy(g.static_features.data(),
+              g.static_features.data() + g.static_features.size(),
+              out.static_features.row(base));
+    out.cells.insert(out.cells.end(), g.cells.begin(), g.cells.end());
+    out.out_net.insert(out.out_net.end(), g.out_net.begin(), g.out_net.end());
+    out.node_type.insert(out.node_type.end(), g.node_type.begin(),
+                         g.node_type.end());
+  }
+  return out;
+}
+
 TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToSerialOracle) {
   // The serving dispatcher fuses a whole batch into one encode_batch call;
   // every (design, workload) item must come out bit-identical to the
   // serial per-(graph, cycle) reference encoder — at any thread count, any
-  // batch composition, any cycle stride, and with a recycled arena. Two
-  // distinct designs and two workloads per design exercise mixed-shape
-  // batches.
+  // batch composition, any block layout, any cycle stride, and with a
+  // recycled arena. Two distinct designs and two workloads per design
+  // exercise mixed-shape batches; synthetic graph sets exercise the block
+  // cutter: one graph larger than a whole block, and many tiny graphs
+  // packed dozens to a block.
   PretrainConfig pcfg;
   pcfg.epochs = 1;
   pcfg.cycles_per_graph = 1;
@@ -355,24 +404,58 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToSerialOracle) {
   fcfg.cycle_stride = 4;
   GroupModels models = finetune_models({train_}, pre.encoder, fcfg);
   const AtlasModel model(std::move(pre.encoder), std::move(models));
+  const std::size_t block_rows = encode_block_rows(model.encoder());
+
+  // One graph of more than two whole blocks (the design's graphs repeated).
+  std::vector<graph::SubmoduleGraph> big_parts;
+  std::size_t big_nodes = 0;
+  while (big_nodes <= 2 * block_rows) {
+    for (const graph::SubmoduleGraph& g : test_->gate_graphs) {
+      big_parts.push_back(g);
+      big_nodes += g.num_nodes();
+    }
+  }
+  const std::vector<graph::SubmoduleGraph> big{concat_graphs(big_parts)};
+  ASSERT_GT(big.front().num_nodes(), block_rows);
+  // Every graph cut into pieces of at most three nodes.
+  std::vector<graph::SubmoduleGraph> tiny;
+  for (const graph::SubmoduleGraph& g : test_->gate_graphs) {
+    for (std::size_t b = 0; b < g.num_nodes(); b += 3) {
+      tiny.push_back(slice_graph(g, b, std::min(g.num_nodes(), b + 3)));
+    }
+  }
+  ASSERT_GE(block_rows / 3, 10u);  // dozens of tiny graphs share a block
 
   struct Item {
-    const DesignData* design;
+    const netlist::Netlist* gate;
+    const std::vector<graph::SubmoduleGraph>* graphs;
     const sim::ToggleTrace* trace;
   };
   std::vector<Item> inputs;
   for (const DesignData* d : {test_, train_}) {
     for (const auto& wl : d->workloads) {
-      inputs.push_back(Item{d, &wl.gate_trace});
+      inputs.push_back(Item{&d->gate, &d->gate_graphs, &wl.gate_trace});
       if (inputs.size() >= 4) break;
     }
   }
   ASSERT_GE(inputs.size(), 2u);
+  const sim::ToggleTrace* trace = &test_->workloads[0].gate_trace;
+  inputs.push_back(Item{&test_->gate, &big, trace});
+  inputs.push_back(Item{&test_->gate, &tiny, trace});
+
+  // The full batch spans many blocks.
+  std::size_t batch_rows = 0;
+  for (const Item& it : inputs) {
+    for (const graph::SubmoduleGraph& g : *it.graphs) {
+      batch_rows += g.num_nodes() * static_cast<std::size_t>(it.trace->num_cycles());
+    }
+  }
+  ASSERT_GT(batch_rows, 16 * block_rows);
 
   std::vector<DesignEmbeddings> solo;
   for (const Item& it : inputs) {
-    solo.push_back(oracle::serial_encode(model.encoder(), it.design->gate,
-                                         it.design->gate_graphs, *it.trace));
+    solo.push_back(
+        oracle::serial_encode(model.encoder(), *it.gate, *it.graphs, *it.trace));
   }
 
   // Row r of `a` against row r * stride of the oracle `b`.
@@ -404,46 +487,49 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToSerialOracle) {
     }
   };
 
+  const obs::Counter& pool_batches =
+      obs::Registry::global().counter("atlas_parallel_batches_total");
   util::Arena arena;
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     util::set_global_threads(threads);
-    // Full batch, then a sub-batch: composition must not matter.
+    // Full batch, then each item alone: composition must not matter.
     std::vector<DesignEmbeddings> out(inputs.size());
     std::vector<AtlasModel::EncodeItem> items;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      items.push_back(AtlasModel::EncodeItem{
-          &inputs[i].design->gate, &inputs[i].design->gate_graphs,
-          inputs[i].trace, &out[i]});
+      items.push_back(AtlasModel::EncodeItem{inputs[i].gate, inputs[i].graphs,
+                                             inputs[i].trace, &out[i]});
     }
+    // One region for the per-graph setup and one over row blocks, however
+    // many blocks the batch has.
+    const std::uint64_t batches0 = pool_batches.value();
     model.encode_batch(items.data(), items.size(), arena);
+    EXPECT_LE(pool_batches.value() - batches0, 2u);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       expect_same(out[i], solo[i], i);
     }
-
-    arena.reset();  // recycled scratch must not change results
-    const std::size_t last = inputs.size() - 1;
-    DesignEmbeddings single;
-    AtlasModel::EncodeItem one{&inputs[last].design->gate,
-                               &inputs[last].design->gate_graphs,
-                               inputs[last].trace, &single};
-    model.encode_batch(&one, 1, arena);
-    expect_same(single, solo[last], last);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      arena.reset();  // recycled scratch must not change results
+      DesignEmbeddings single;
+      items[i].out = &single;
+      model.encode_batch(&items[i], 1, arena);
+      expect_same(single, solo[i], i);
+    }
 
     // Strided items (fine-tuning's training rows) pick exactly the oracle's
     // rows at cycles 0, s, 2s, ...
     DesignEmbeddings strided;
+    AtlasModel::EncodeItem one = items.front();
     one.out = &strided;
     one.cycle_stride = 3;
     model.encode_batch(&one, 1, arena);
-    expect_same(strided, solo[last], last, 3);
+    expect_same(strided, solo.front(), 0, 3);
     arena.reset();
 
     // The whole predict() path against the serial reference.
     expect_same_prediction(
-        model.predict(inputs[0].design->gate, inputs[0].design->gate_graphs,
-                      *inputs[0].trace),
-        oracle::serial_predict(model, inputs[0].design->gate,
-                               inputs[0].design->gate_graphs,
+        model.predict(*inputs[0].gate, *inputs[0].graphs, *inputs[0].trace),
+        oracle::serial_predict(model, *inputs[0].gate, *inputs[0].graphs,
                                *inputs[0].trace),
         "predict at threads=" + std::to_string(threads));
   }

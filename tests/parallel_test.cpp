@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -167,6 +168,33 @@ TEST(ParallelTest, NestedParallelRunsInline) {
     parallel_for(64, 4, [&](std::size_t inner) { ++hits[outer * 64 + inner]; });
   });
   for (const int h : hits) ASSERT_EQ(h, 1);
+}
+
+TEST(ParallelTest, SingleTaskKeepsNestedLoopsOnThePool) {
+  // A lone task outside any region (the serve dispatcher's batch of one)
+  // must not mark the caller as inside a region: its nested loop is
+  // dispatched as a pool batch instead of running inline. Pool counters,
+  // not timing, pin the decision.
+  ThreadsGuard guard;
+  set_global_threads(4);
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Counter& batches = reg.counter("atlas_parallel_batches_total");
+  const obs::Counter& tasks = reg.counter("atlas_parallel_tasks_total");
+  const obs::Counter& inlined =
+      reg.counter("atlas_parallel_inline_tasks_total");
+  const std::uint64_t batches0 = batches.value();
+  const std::uint64_t tasks0 = tasks.value();
+  const std::uint64_t inlined0 = inlined.value();
+  std::vector<int> hits(64, 0);
+  ThreadPool::global().run(1, [&](std::size_t) {
+    EXPECT_FALSE(in_parallel_region());
+    parallel_for(64, 4, [&](std::size_t i) { ++hits[i]; });
+  });
+  for (const int h : hits) ASSERT_EQ(h, 1);
+  EXPECT_EQ(batches.value() - batches0, 2u);  // the lone task + one batch
+  EXPECT_EQ(inlined.value() - inlined0, 1u);  // only the lone task itself
+  EXPECT_EQ(tasks.value() - tasks0, 16u);     // 64 / 4 chunks on the pool
+  EXPECT_FALSE(in_parallel_region());
 }
 
 TEST(ParallelTest, ExceptionsPropagateToCaller) {
