@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the performance-critical kernels:
-// the cycle simulator, the power analyzer, the fused SGFormer encoder that
-// inference runs (forward_fused, and core::encode_batch around it — the
-// dominant cost of ATLAS inference) and the GBDT heads' batched traversal
+// the cycle simulator, the power analyzer, the SGFormer kernels that
+// inference runs (project_rows and forward_tail, and core::encode_batch
+// around them — the dominant cost of ATLAS inference) and the GBDT heads' batched traversal
 // (predict_rows). These are the numbers to watch when optimizing the
 // Table IV "Infer" column.
 #include <benchmark/benchmark.h>
@@ -105,29 +105,35 @@ void BM_LogicRewrite(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicRewrite);
 
+ml::SgFormer atlas_encoder() {
+  ml::SgFormer::Config cfg;
+  cfg.in_dim = graph::kFeatureDim;
+  cfg.dim = 32;
+  return ml::SgFormer(cfg);
+}
+
 void BM_SgFormerForwardFused(benchmark::State& state) {
-  // A block of 16 synthetic chain graphs of the requested size with ATLAS
-  // feature width, packed as forward_fused sees one encode_batch row block.
+  // The per-segment tail (forward_tail) over a block of 16 synthetic chain
+  // graphs of the requested size, from H/Q/K/V planes packed as
+  // encode_batch gathers them for one row block.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kSegments = 16;
+  const ml::SgFormer enc = atlas_encoder();
   util::Rng rng(5);
-  ml::Matrix feats =
+  const ml::Matrix feats =
       ml::Matrix::randn(kSegments * n, graph::kFeatureDim, rng, 1.0f);
+  std::vector<float> hqkv(4 * kSegments * n * enc.dim());
+  enc.project_rows(feats.data(), kSegments * n, hqkv.data());
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   for (std::uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
   const ml::SgFormer::NormAdjacency adj =
       ml::SgFormer::build_norm_adjacency(n, &edges);
   const std::vector<ml::SgFormer::Segment> segs(kSegments, {n, &adj});
-  ml::SgFormer::Config cfg;
-  cfg.in_dim = graph::kFeatureDim;
-  cfg.dim = 32;
-  ml::SgFormer enc(cfg);
-  std::vector<float> out(kSegments * cfg.dim);
+  std::vector<float> out(kSegments * enc.dim());
   util::Arena arena;
   for (auto _ : state) {
     const util::Arena::Marker m = arena.mark();
-    enc.forward_fused(segs.data(), segs.size(), feats.data(), out.data(),
-                      arena);
+    enc.forward_tail(segs.data(), segs.size(), hqkv.data(), out.data(), arena);
     arena.rewind(m);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -139,11 +145,31 @@ void BM_SgFormerForwardFused(benchmark::State& state) {
 // thread, so this times one core's share of the encoder.
 BENCHMARK(BM_SgFormerForwardFused)->Arg(64)->Arg(256)->Arg(1024);
 
+void BM_SgFormerProjectTable(benchmark::State& state) {
+  // The row-local projection (project_rows) over one graph's toggle table:
+  // three rows per node, as each encode_batch task builds it before
+  // gathering. Items = projected rows.
+  const std::size_t rows = 3 * static_cast<std::size_t>(state.range(0));
+  const ml::SgFormer enc = atlas_encoder();
+  util::Rng rng(6);
+  const ml::Matrix feats =
+      ml::Matrix::randn(rows, graph::kFeatureDim, rng, 1.0f);
+  std::vector<float> hqkv(4 * rows * enc.dim());
+  for (auto _ : state) {
+    enc.project_rows(feats.data(), rows, hqkv.data());
+    benchmark::DoNotOptimize(hqkv.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(rows));
+}
+BENCHMARK(BM_SgFormerProjectTable)->Arg(64)->Arg(256)->Arg(1024);
+
 void BM_EncodeBatch(benchmark::State& state) {
   // The whole inference encoder on a real design: every (sub-module,
   // cycle) of a W1 trace through core::encode_batch, at range(1) threads
-  // (the row blocks are the parallel axis, so 1 vs 2 vs 4 is the encoder's
-  // parallel efficiency). Items = encoded (sub-module, cycle) embeddings.
+  // (runs of at most 64 cycles of one graph are the parallel axis, so 1 vs
+  // 2 vs 4 is the encoder's parallel efficiency). Items = (sub-module,
+  // cycle) embeddings, duplicate cycles included.
   const netlist::Netlist& nl = design();
   const std::vector<graph::SubmoduleGraph> graphs =
       graph::build_submodule_graphs(nl);
@@ -151,10 +177,7 @@ void BM_EncodeBatch(benchmark::State& state) {
   sim::CycleSimulator sim(nl);
   sim::StimulusGenerator stim(nl, sim::make_w1());
   const sim::ToggleTrace trace = sim.run(stim, cycles);
-  ml::SgFormer::Config cfg;
-  cfg.in_dim = graph::kFeatureDim;
-  cfg.dim = 32;
-  const ml::SgFormer enc(cfg);
+  const ml::SgFormer enc = atlas_encoder();
   util::Arena arena;
   util::set_global_threads(static_cast<int>(state.range(1)));
   for (auto _ : state) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,18 +65,89 @@ void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
   core::encode_batch(encoder_, items, n, arena);
 }
 
+namespace {
+
+// Encoded cycles per region-2 task: a fixed constant, so the task layout
+// depends only on the batch, and large enough that rebuilding a graph's
+// toggle-projection table per task stays a few percent of the task's work.
+constexpr int kTaskRows = 64;
+
+// Toggle code of node i at `cycle`: the transitions on its output net
+// (0, 1 or 2), or 0 for a node with no output net, which keeps its static
+// row. Indexes the node's projection-table row.
+std::size_t toggle_code(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
+                        int cycle, std::size_t i) {
+  const netlist::NetId net = g.out_net[i];
+  return net == netlist::kNoNet
+             ? 0
+             : static_cast<std::size_t>(trace.transitions(cycle, net));
+}
+
+std::uint64_t toggle_hash(const SubmoduleGraph& g,
+                          const sim::ToggleTrace& trace, int cycle) {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    h = (h ^ toggle_code(g, trace, cycle, i)) * 1099511628211ull;
+  }
+  return h;
+}
+
+bool same_toggles(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
+                  int a, int b) {
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    if (toggle_code(g, trace, a, i) != toggle_code(g, trace, b, i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A graph's toggle-projection table from `scratch`: row i * 3 + t of each
+// of the four H/Q/K/V planes (3N rows each) holds node i's projection with
+// its toggle channel at t / 2 — exactly the row fill_cycle_features writes
+// for a cycle where node i's output net makes t transitions.
+const float* build_toggle_table(const ml::SgFormer& encoder,
+                                const SubmoduleGraph& g, util::Arena& scratch) {
+  const std::size_t feat_dim = static_cast<std::size_t>(graph::kFeatureDim);
+  const std::size_t rows = 3 * g.num_nodes();
+  float* table = scratch.alloc_array<float>(4 * rows * encoder.dim());
+  const util::Arena::Marker marker = scratch.mark();
+  float* x = scratch.alloc_array<float>(rows * feat_dim);
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    const float* src = g.static_features.row(i);
+    for (int t = 0; t < 3; ++t) {
+      float* row = x + (3 * i + static_cast<std::size_t>(t)) * feat_dim;
+      std::copy(src, src + feat_dim, row);
+      if (g.out_net[i] != netlist::kNoNet) {
+        row[graph::kToggleOffset] = static_cast<float>(t) * 0.5f;
+      }
+    }
+  }
+  encoder.project_rows(x, rows, table);
+  scratch.rewind(marker);
+  return table;
+}
+
+}  // namespace
+
 void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
                   std::size_t n, util::Arena& arena) {
   obs::ObsSpan span("model", "encode_batch");
   static obs::Counter* encodes =
       &obs::Registry::global().counter("atlas_model_encodes_total");
+  static obs::Counter* encoded_segments =
+      &obs::Registry::global().counter("atlas_model_encoded_segments_total");
+  static obs::Counter* reused_segments =
+      &obs::Registry::global().counter("atlas_model_reused_segments_total");
   encodes->inc(n);
 
   const std::size_t d = encoder.dim();
 
-  // Per-graph setup: static context, extras, the output matrix, and the
-  // shared normalized adjacency (cycle-invariant, built once per graph
-  // instead of once per forward). All independent across graphs.
+  // Per-graph setup: static context, extras, the output matrix, the shared
+  // normalized adjacency (cycle-invariant, built once per graph instead of
+  // once per forward), and each encoded cycle's representative: the first
+  // encoded cycle with the same toggle vector. All independent across
+  // graphs.
   struct GraphRef {
     const netlist::Netlist* gate = nullptr;
     const SubmoduleGraph* g = nullptr;
@@ -84,6 +156,7 @@ void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
     int rows = 0;  // encoded cycles
     DesignEmbeddings::PerGraph* pg = nullptr;
     ml::SgFormer::NormAdjacency adj;
+    std::vector<int> rep;  // [row] -> representative row (rep[r] <= r)
   };
   std::vector<GraphRef> grefs;
   for (std::size_t i = 0; i < n; ++i) {
@@ -115,83 +188,124 @@ void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
                                           static_cast<int>(k) * r.stride);
     }
     r.adj = ml::SgFormer::build_norm_adjacency(r.g->num_nodes(), &r.g->edges);
+    // Hash each toggle vector, then confirm equality: a hash collision
+    // only costs a missed reuse, never a wrong row.
+    r.rep.resize(rows);
+    std::unordered_map<std::uint64_t, int> first;
+    for (int k = 0; k < r.rows; ++k) {
+      const int cycle = k * r.stride;
+      const auto [at, inserted] =
+          first.try_emplace(toggle_hash(*r.g, *r.trace, cycle), k);
+      r.rep[static_cast<std::size_t>(k)] =
+          !inserted && same_toggles(*r.g, *r.trace, at->second * r.stride, cycle)
+              ? at->second
+              : k;
+    }
   });
 
-  // Flatten to (graph, encoded cycle) segments and cut them into row
-  // blocks. A block never splits a segment, and each segment's result
-  // depends on its own rows alone, so the split points cannot affect
-  // numerics. The index arrays live in the caller's arena until return.
-  std::size_t num_segs = 0;
-  for (const GraphRef& r : grefs) num_segs += static_cast<std::size_t>(r.rows);
-  if (num_segs == 0) return;
-  const util::Arena::Marker marker = arena.mark();
-  struct Seg {
-    const GraphRef* ref = nullptr;
-    int row = 0;
-  };
-  ml::SgFormer::Segment* segs =
-      arena.alloc_array<ml::SgFormer::Segment>(num_segs);
-  Seg* meta = arena.alloc_array<Seg>(num_segs);
-  std::size_t s = 0;
+  // Cut every graph's encoded cycles into runs of at most kTaskRows. The
+  // task array lives in the caller's arena until return.
+  std::size_t num_tasks = 0;
   for (const GraphRef& r : grefs) {
-    for (int k = 0; k < r.rows; ++k, ++s) {
-      segs[s] = ml::SgFormer::Segment{r.g->num_nodes(), &r.adj};
-      meta[s] = Seg{&r, k};
+    num_tasks += static_cast<std::size_t>((r.rows + kTaskRows - 1) / kTaskRows);
+  }
+  if (num_tasks == 0) return;
+  const util::Arena::Marker marker = arena.mark();
+  struct Task {
+    const GraphRef* ref = nullptr;
+    int begin = 0;
+    int end = 0;
+  };
+  Task* tasks = arena.alloc_array<Task>(num_tasks);
+  std::size_t t = 0;
+  for (const GraphRef& r : grefs) {
+    for (int k = 0; k < r.rows; k += kTaskRows) {
+      tasks[t++] = Task{&r, k, std::min(r.rows, k + kTaskRows)};
     }
   }
-  const std::size_t max_rows = encode_block_rows(encoder);
-  std::size_t* block_begin = arena.alloc_array<std::size_t>(num_segs + 1);
-  std::size_t num_blocks = 0;
-  for (std::size_t s0 = 0; s0 < num_segs; ++num_blocks) {
-    block_begin[num_blocks] = s0;
-    std::size_t rows = segs[s0].num_nodes;
-    for (++s0; s0 < num_segs && rows + segs[s0].num_nodes <= max_rows; ++s0) {
-      rows += segs[s0].num_nodes;
-    }
-  }
-  block_begin[num_blocks] = num_segs;
 
-  // One pool task per block: fill features, run the serial fused kernel,
-  // copy out the graph embeddings. Scratch comes from the executing
-  // thread's own arena, recycled per block (tasks on one thread never
-  // overlap: forward_fused opens no region).
-  const std::size_t feat_dim = static_cast<std::size_t>(graph::kFeatureDim);
-  util::parallel_for(num_blocks, 1, [&](std::size_t b) {
+  // One pool task per run: build the graph's toggle-projection table, then
+  // encode the run's representative cycles in row blocks — gather each
+  // node's H/Q/K/V rows from the table by toggle code, run the per-segment
+  // tail, copy out the embeddings. Table and block scratch come from the
+  // executing thread's own arena, recycled per task (tasks on one thread
+  // never overlap: the kernels open no region). Each segment's result
+  // depends on its own rows alone, so run and block boundaries cannot
+  // affect numerics.
+  const std::size_t max_rows = encode_block_rows(encoder);
+  util::parallel_for(num_tasks, 1, [&](std::size_t ti) {
+    const Task& task = tasks[ti];
+    const GraphRef& r = *task.ref;
+    const SubmoduleGraph& g = *r.g;
+    const std::size_t nodes = g.num_nodes();
     thread_local util::Arena scratch;
     scratch.reset();
-    const std::size_t s0 = block_begin[b];
-    const std::size_t count = block_begin[b + 1] - s0;
-    std::size_t rows = 0;
-    for (std::size_t k = 0; k < count; ++k) rows += segs[s0 + k].num_nodes;
-    float* feats = scratch.alloc_array<float>(rows * feat_dim);
-    float* gemb = scratch.alloc_array<float>(count * d);
-    float* f = feats;
-    for (std::size_t k = 0; k < count; ++k) {
-      const Seg& m = meta[s0 + k];
-      graph::fill_cycle_features(*m.ref->g, *m.ref->trace,
-                                 m.row * m.ref->stride, f);
-      f += segs[s0 + k].num_nodes * feat_dim;
+    const float* table = build_toggle_table(encoder, g, scratch);
+    const std::size_t table_plane = 3 * nodes * d;
+    int* reps = scratch.alloc_array<int>(
+        static_cast<std::size_t>(task.end - task.begin));
+    std::size_t num_reps = 0;
+    for (int k = task.begin; k < task.end; ++k) {
+      if (r.rep[static_cast<std::size_t>(k)] == k) reps[num_reps++] = k;
     }
-    encoder.forward_fused(segs + s0, count, feats, gemb, scratch);
-    for (std::size_t k = 0; k < count; ++k) {
-      const Seg& m = meta[s0 + k];
-      std::copy(gemb + k * d, gemb + (k + 1) * d,
-                m.ref->pg->emb.row(static_cast<std::size_t>(m.row)));
+    const std::size_t per_block =
+        std::max<std::size_t>(1, max_rows / std::max<std::size_t>(1, nodes));
+    const util::Arena::Marker block_marker = scratch.mark();
+    for (std::size_t b0 = 0; b0 < num_reps; b0 += per_block) {
+      const std::size_t count = std::min(per_block, num_reps - b0);
+      const std::size_t plane = count * nodes * d;
+      float* hqkv = scratch.alloc_array<float>(4 * plane);
+      float* gemb = scratch.alloc_array<float>(count * d);
+      ml::SgFormer::Segment* segs =
+          scratch.alloc_array<ml::SgFormer::Segment>(count);
+      for (std::size_t s = 0; s < count; ++s) {
+        segs[s] = ml::SgFormer::Segment{nodes, &r.adj};
+        const int cycle = reps[b0 + s] * r.stride;
+        for (std::size_t i = 0; i < nodes; ++i) {
+          const float* src =
+              table + (3 * i + toggle_code(g, *r.trace, cycle, i)) * d;
+          float* dst = hqkv + (s * nodes + i) * d;
+          for (int p = 0; p < 4; ++p) {
+            std::copy(src + p * table_plane, src + p * table_plane + d,
+                      dst + p * plane);
+          }
+        }
+      }
+      encoder.forward_tail(segs, count, hqkv, gemb, scratch);
+      for (std::size_t s = 0; s < count; ++s) {
+        std::copy(gemb + s * d, gemb + (s + 1) * d,
+                  r.pg->emb.row(static_cast<std::size_t>(reps[b0 + s])));
+      }
+      scratch.rewind(block_marker);
     }
   });
   arena.rewind(marker);
+
+  // Duplicate cycles copy their representative's row (always an earlier
+  // row, so this runs after every task has written it).
+  std::size_t reused = 0;
+  std::size_t total = 0;
+  for (const GraphRef& r : grefs) {
+    total += static_cast<std::size_t>(r.rows);
+    for (std::size_t k = 0; k < r.rep.size(); ++k) {
+      const std::size_t from = static_cast<std::size_t>(r.rep[k]);
+      if (from == k) continue;
+      std::copy(r.pg->emb.row(from), r.pg->emb.row(from) + d, r.pg->emb.row(k));
+      ++reused;
+    }
+  }
+  encoded_segments->inc(total - reused);
+  reused_segments->inc(reused);
 }
 
 std::size_t encode_block_rows(const ml::SgFormer& encoder) {
-  // A block's feature rows plus forward_fused's eight activation buffers
-  // fit a fixed 256 KiB scratch budget (~230 rows at dim 32): small enough
-  // that every thread's block stays in its core's L2 beside the weights,
-  // and that per-thread arenas add little to peak RSS. Blocks are also the
-  // unit of parallelism, so smaller blocks balance the pool better.
+  // A block's gathered H/Q/K/V rows plus forward_tail's four activation
+  // buffers fit a fixed 256 KiB scratch budget (256 rows at dim 32): small
+  // enough that every thread's block stays in its core's L2 beside the
+  // weights. The graph's projection table sits outside this budget.
   constexpr std::size_t kBlockScratchBytes = std::size_t{256} << 10;
-  const std::size_t feat_dim = static_cast<std::size_t>(graph::kFeatureDim);
-  return kBlockScratchBytes /
-         (encoder.fused_scratch_bytes_per_row() + feat_dim * sizeof(float));
+  return kBlockScratchBytes / (encoder.tail_scratch_bytes_per_row() +
+                               4 * encoder.dim() * sizeof(float));
 }
 
 Prediction AtlasModel::predict_from_embeddings(

@@ -42,8 +42,8 @@ struct Prediction {
 /// Everything the GBDT heads consume for one design under one workload:
 /// per-sub-module static context plus, per cycle, the encoder's graph
 /// embedding and the paper's extra toggle-weighted features. Computing this
-/// is the expensive part of prediction (the encoder runs once per
-/// (sub-module, cycle)); the serve-layer feature cache stores it so repeat
+/// is the expensive part of prediction (the encoder runs once per distinct
+/// (sub-module, toggle vector)); the serve-layer feature cache stores it so repeat
 /// queries on the same (design, workload) skip straight to the GBDT heads.
 struct DesignEmbeddings {
   struct PerGraph {
@@ -69,23 +69,33 @@ struct EncodeItem {
   int cycle_stride = 1;
 };
 
-/// Stage 1 of prediction, the only inference encoder: packs every
-/// (item, sub-module, encoded cycle) into row blocks and runs the encoder's
-/// fused kernel over each — one GEMM per layer over the block's
-/// concatenated node features. Each graph's normalized adjacency is built
-/// once and shared across its cycles. The call opens two pool regions
-/// whatever the batch size: one over graphs for the per-graph setup, one
-/// over row blocks, where each task fills its block's features, runs
-/// SgFormer::forward_fused serially and copies out the embeddings. Block
-/// scratch comes from a per-thread arena, so peak scratch does not grow
-/// with the batch; `arena` holds only the per-call index arrays. Each
-/// embedding row is bit-identical to SgFormer::forward on that
-/// (graph, cycle) alone, at any thread count and any batch composition.
+/// Stage 1 of prediction, the only inference encoder. Between cycles a
+/// graph's encoder input changes only in the toggle channel, so each
+/// distinct input is encoded once:
+///   * Duplicate cycles: the per-graph setup maps every encoded cycle to
+///     the first encoded cycle of that graph with an identical toggle
+///     vector (hashed, then compared). Only these representatives run
+///     through the encoder; the rest copy its embedding row.
+///   * Projection tables: the row-local half of the encoder
+///     (SgFormer::project_rows) runs once per (node, toggle code) into a
+///     per-graph table; each representative cycle gathers its H/Q/K/V rows
+///     from the table and runs only the per-segment SgFormer::forward_tail.
+/// The call opens two pool regions whatever the batch size: one over
+/// graphs for the per-graph setup, one over runs of at most 64 encoded
+/// cycles of one graph. Each run's task builds its graph's table in the
+/// executing thread's own arena and encodes in row blocks of at most
+/// encode_block_rows() rows, so scratch does not grow with the batch;
+/// `arena` holds only the per-call task array. Each embedding row is
+/// bit-identical to SgFormer::forward on that (graph, cycle) alone, at any
+/// thread count and any batch composition. Counters:
+/// atlas_model_encoded_segments_total counts representatives,
+/// atlas_model_reused_segments_total the copied duplicates.
 void encode_batch(const ml::SgFormer& encoder, const EncodeItem* items,
                   std::size_t n, util::Arena& arena);
 
-/// Most rows encode_batch packs into one block (a block always holds at
-/// least one whole segment, so a larger graph gets a block of its own).
+/// Most rows encode_batch gathers into one forward_tail block (a block
+/// always holds at least one whole segment, so a larger graph gets a block
+/// of its own).
 std::size_t encode_block_rows(const ml::SgFormer& encoder);
 
 class AtlasModel {

@@ -47,10 +47,10 @@ class Matrix {
 };
 
 // Raw row-major kernels. These are the single source of truth for the
-// arithmetic: the Matrix entry points below and the fused batched encoder
-// (sgformer forward_fused) both delegate here, so the serial forward() that
-// pre-training runs and the fused inference encoder share identical loop
-// order and rounding by construction.
+// arithmetic: the Matrix entry points below and the inference kernels
+// (SgFormer::project_rows / forward_tail) both delegate here, so the serial
+// forward() that pre-training runs and the inference encoder share identical
+// loop order and rounding by construction.
 // Each output row of gemm_rows depends only on the matching input row, which
 // is what makes row-chunk parallelism and batch concatenation bit-identical
 // to the serial per-request ops.

@@ -155,46 +155,53 @@ SgFormer::NormAdjacency SgFormer::build_norm_adjacency(
   return adj;
 }
 
-void SgFormer::forward_fused(const Segment* segs, std::size_t num_segs,
-                             const float* features, float* graph_emb,
-                             util::Arena& arena) const {
+void SgFormer::project_rows(const float* x, std::size_t rows,
+                            float* hqkv) const {
+  const std::size_t d = config_.dim;
+  const std::size_t plane = rows * d;
+  float* h = hqkv;
+  float* q = hqkv + plane;
+  float* k = hqkv + 2 * plane;
+  float* v = hqkv + 3 * plane;
+  // GEMM accumulators must start at zero, matching matmul()'s zero-init.
+  std::fill(hqkv, hqkv + 4 * plane, 0.0f);
+  raw::gemm_rows(x, config_.in_dim, w_in_.data(), d, h, 0, rows);
+  raw::add_row_bias_rows(h, d, b_in_.data(), 0, rows);
+  raw::relu(h, plane);
+  raw::gemm_rows(h, d, wq_.data(), d, q, 0, rows);
+  raw::gemm_rows(h, d, wk_.data(), d, k, 0, rows);
+  raw::gemm_rows(h, d, wv_.data(), d, v, 0, rows);
+}
+
+void SgFormer::forward_tail(const Segment* segs, std::size_t num_segs,
+                            const float* hqkv, float* graph_emb,
+                            util::Arena& arena) const {
   if (num_segs == 0) return;
   const std::size_t d = config_.dim;
-  const std::size_t in_dim = config_.in_dim;
   std::size_t* off = arena.alloc_array<std::size_t>(num_segs + 1);
   off[0] = 0;
   for (std::size_t s = 0; s < num_segs; ++s) {
     if (segs[s].num_nodes == 0 || segs[s].adj == nullptr) {
-      throw std::invalid_argument("forward_fused: empty segment");
+      throw std::invalid_argument("forward_tail: empty segment");
     }
     off[s + 1] = off[s] + segs[s].num_nodes;
   }
   const std::size_t total = off[num_segs];
   forward_counter().inc(num_segs);
 
-  float* h = arena.alloc_array<float>(total * d);
-  float* q = arena.alloc_array<float>(total * d);
-  float* k = arena.alloc_array<float>(total * d);
-  float* v = arena.alloc_array<float>(total * d);
+  const float* h = hqkv;
+  const float* q = hqkv + total * d;
+  const float* k = hqkv + 2 * total * d;
+  const float* v = hqkv + 3 * total * d;
   float* att = arena.alloc_array<float>(total * d);
   float* ah = arena.alloc_array<float>(total * d);
   float* gcn = arena.alloc_array<float>(total * d);
   float* emb = arena.alloc_array<float>(total * d);
   float* ktv = arena.alloc_array<float>(num_segs * d * d);
   std::fill(ktv, ktv + num_segs * d * d, 0.0f);
-  // GEMM accumulators must start at zero, matching matmul()'s zero-init.
-  for (float* buf : {h, q, k, v, att, ah, gcn, emb}) {
+  for (float* buf : {att, ah, gcn, emb}) {
     std::fill(buf, buf + total * d, 0.0f);
   }
-
-  // H = ReLU(X W_in + b_in), then the Q/K/V projections, each one GEMM over
-  // the whole concatenated block.
-  raw::gemm_rows(features, in_dim, w_in_.data(), d, h, 0, total);
-  raw::add_row_bias_rows(h, d, b_in_.data(), 0, total);
-  raw::relu(h, total * d);
-  raw::gemm_rows(h, d, wq_.data(), d, q, 0, total);
-  raw::gemm_rows(h, d, wk_.data(), d, k, 0, total);
-  raw::gemm_rows(h, d, wv_.data(), d, v, 0, total);
 
   // Per-segment reductions: K^T V, attention normalization + skip, and
   // A_norm propagation — each in forward()'s exact serial order.

@@ -63,9 +63,9 @@ class SgFormer {
   Output forward(const GraphView& g, Cache* cache = nullptr) const;
 
   /// Symmetric-normalized adjacency of one graph in edge-list form, exactly
-  /// as forward() constructs it internally. Cycle- and feature-invariant, so
-  /// one instance is reused across every cycle of a graph and across every
-  /// request touching that graph.
+  /// as forward() constructs it internally. Cycle- and feature-invariant:
+  /// core::encode_batch builds one per graph per call and shares it across
+  /// every cycle of that graph in the call.
   struct NormAdjacency {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  // incl. loops
     std::vector<float> weights;
@@ -74,35 +74,42 @@ class SgFormer {
       std::size_t num_nodes,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>* edges);
 
-  /// One (graph, cycle) instance inside a fused batch: a row block of
-  /// `num_nodes` feature rows plus the graph's prebuilt adjacency.
+  /// One (graph, cycle) instance inside a batch: `num_nodes` consecutive
+  /// rows plus the graph's prebuilt adjacency.
   struct Segment {
     std::size_t num_nodes = 0;
     const NormAdjacency* adj = nullptr;
   };
 
-  /// Inference-only fused forward over a batch of segments whose features
-  /// are packed row-major into `features` (sum of num_nodes x in_dim).
-  /// Writes segment s's 1 x dim graph embedding to graph_emb + s * dim.
+  /// Inference runs forward() as two serial kernels. Callers parallelize
+  /// across calls (core::encode_batch runs them on pool tasks).
   ///
-  /// A serial kernel over one row block: callers parallelize across
-  /// blocks (core::encode_batch runs one pool task per block). The
-  /// per-node projections run as one GEMM per layer over the whole
-  /// concatenated block; attention normalization, adjacency propagation,
-  /// and the mean pool stay per-segment. Every output row of the shared
-  /// GEMM kernel depends only on its own input row, and all per-segment
-  /// reductions (K^T V, A_norm propagation, mean pool) run in the same
-  /// serial order as forward(), so the result is bit-identical to calling
-  /// forward() once per segment, for any batch composition. Scratch comes
-  /// from `arena` (no heap traffic when the arena is recycled).
-  void forward_fused(const Segment* segs, std::size_t num_segs,
-                     const float* features, float* graph_emb,
-                     util::Arena& arena) const;
+  /// project_rows, the row-local half: for `rows` input rows `x` (row-major,
+  /// in_dim wide) writes four rows x dim planes back to back into `hqkv`:
+  /// H = ReLU(X W_in + b_in), then Q = H Wq, K = H Wk, V = H Wv. Each
+  /// output row depends only on its own input row, so a caller may project
+  /// each distinct input row once and gather the results (encode_batch
+  /// tabulates the three toggle states of every node of a graph).
+  void project_rows(const float* x, std::size_t rows, float* hqkv) const;
 
-  /// Activation scratch forward_fused takes from the arena per input row
-  /// (eight dim-wide float buffers), excluding the caller's feature rows.
-  std::size_t fused_scratch_bytes_per_row() const {
-    return 8 * config_.dim * sizeof(float);
+  /// forward_tail, the per-segment half: reads the H/Q/K/V rows of
+  /// `num_segs` segments in project_rows' four-plane layout (each plane
+  /// holds the sum of num_nodes rows, segments back to back), runs K^T V,
+  /// the attention normalization, A_norm propagation, W_g, the branch
+  /// combine, W_out and the mean pool, and writes segment s's 1 x dim graph
+  /// embedding to graph_emb + s * dim. The per-segment reductions run in
+  /// forward()'s serial order and every whole-block GEMM is row-local, so
+  /// project_rows then forward_tail is bit-identical to forward() once per
+  /// segment, for any batch composition. Scratch comes from `arena` (no
+  /// heap traffic when the arena is recycled).
+  void forward_tail(const Segment* segs, std::size_t num_segs,
+                    const float* hqkv, float* graph_emb,
+                    util::Arena& arena) const;
+
+  /// Activation scratch forward_tail takes from the arena per row (four
+  /// dim-wide float buffers), excluding the caller's H/Q/K/V planes.
+  std::size_t tail_scratch_bytes_per_row() const {
+    return 4 * config_.dim * sizeof(float);
   }
 
   /// Accumulate parameter gradients for one graph. `d_node` may be empty

@@ -18,7 +18,24 @@ ToggleTrace::ToggleTrace(std::size_t num_nets, int num_cycles)
     : num_nets_(num_nets), num_cycles_(num_cycles),
       data_(num_nets * static_cast<std::size_t>(num_cycles), 0) {}
 
+namespace {
+
+// Out of line and cold, so the range check keeps set() small enough to
+// inline into the simulator's per-net recording loop.
+[[noreturn, gnu::cold, gnu::noinline]] void reject_transitions(
+    int cycle, NetId net, int transitions) {
+  throw std::invalid_argument(
+      util::format("ToggleTrace::set: %d transitions on net %u in cycle %d "
+                   "(must be 0, 1 or 2)",
+                   transitions, static_cast<unsigned>(net), cycle));
+}
+
+}  // namespace
+
 void ToggleTrace::set(int cycle, NetId net, bool value, int transitions) {
+  if (transitions < 0 || transitions > 2) {
+    reject_transitions(cycle, net, transitions);
+  }
   data_[static_cast<std::size_t>(cycle) * num_nets_ + net] =
       static_cast<std::uint8_t>((transitions << 1) | (value ? 1 : 0));
 }

@@ -42,6 +42,7 @@ class ToggleTrace {
   int transitions(int cycle, netlist::NetId net) const {
     return at(cycle, net) >> 1;
   }
+  /// Throws std::invalid_argument unless transitions is 0, 1 or 2.
   void set(int cycle, netlist::NetId net, bool value, int transitions);
 
   /// Average transitions per cycle over the whole trace.

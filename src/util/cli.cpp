@@ -63,12 +63,41 @@ const Cli::Flag& Cli::lookup(const std::string& name) const {
 
 std::string Cli::str(const std::string& name) const { return lookup(name).value; }
 
+namespace {
+
+// Parses the whole of `value` with `parse` (std::stoll / std::stod); any
+// rejected, out-of-range or partly consumed value names the flag.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& value,
+                 const char* kind, Parse parse) {
+  std::size_t used = 0;
+  decltype(parse(value, &used)) out{};
+  try {
+    out = parse(value, &used);
+  } catch (const std::logic_error&) {
+    used = 0;
+  }
+  if (used == 0 || used != value.size()) {
+    throw std::runtime_error("flag --" + name + " expects " + kind +
+                             ", got '" + value + "'");
+  }
+  return out;
+}
+
+}  // namespace
+
 long long Cli::integer(const std::string& name) const {
-  return std::stoll(lookup(name).value);
+  return parse_whole(name, lookup(name).value, "an integer",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stoll(v, used);
+                     });
 }
 
 double Cli::real(const std::string& name) const {
-  return std::stod(lookup(name).value);
+  return parse_whole(name, lookup(name).value, "a number",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stod(v, used);
+                     });
 }
 
 bool Cli::boolean(const std::string& name) const {

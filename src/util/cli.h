@@ -24,6 +24,9 @@ class Cli {
   bool help_requested() const { return help_requested_; }
 
   std::string str(const std::string& name) const;
+  /// The whole value as a number. Throws std::runtime_error naming the
+  /// flag if any part of it does not parse ("4x", "abc", "") or it is out
+  /// of range.
   long long integer(const std::string& name) const;
   double real(const std::string& name) const;
   bool boolean(const std::string& name) const;

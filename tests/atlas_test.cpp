@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "atlas/finetune.h"
 #include "atlas/logic_cones.h"
@@ -13,8 +16,10 @@
 #include "netlist/verilog_io.h"
 #include "obs/metrics.h"
 #include "serial_encode_oracle.h"
+#include "sim/simulator.h"
 #include "util/arena.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace atlas::core {
 namespace {
@@ -296,6 +301,34 @@ void expect_same_prediction(const Prediction& a, const Prediction& b,
   }
 }
 
+/// Row r of `a` (encoded with cycle stride `stride`) bit-equal to row
+/// r * stride of the serial oracle's `b`, extras and static context too.
+void expect_same_embeddings(const DesignEmbeddings& a,
+                            const DesignEmbeddings& b, std::size_t d,
+                            int stride, const std::string& what) {
+  ASSERT_EQ(a.num_cycles, (b.num_cycles + stride - 1) / stride) << what;
+  ASSERT_EQ(a.graphs.size(), b.graphs.size()) << what;
+  for (std::size_t g = 0; g < a.graphs.size(); ++g) {
+    const DesignEmbeddings::PerGraph& pa = a.graphs[g];
+    const DesignEmbeddings::PerGraph& pb = b.graphs[g];
+    ASSERT_EQ(pa.emb.rows(), static_cast<std::size_t>(a.num_cycles)) << what;
+    ASSERT_EQ(pa.extras.size(), static_cast<std::size_t>(a.num_cycles)) << what;
+    for (std::size_t r = 0; r < pa.emb.rows(); ++r) {
+      const std::size_t c = r * static_cast<std::size_t>(stride);
+      for (std::size_t j = 0; j < d; ++j) {
+        ASSERT_EQ(pa.emb.at(r, j), pb.emb.at(c, j))
+            << what << " graph " << g << " cycle " << c;
+      }
+      EXPECT_EQ(pa.extras[r].i_comb, pb.extras[c].i_comb) << what;
+      EXPECT_EQ(pa.extras[r].c_comb, pb.extras[c].c_comb) << what;
+      EXPECT_EQ(pa.extras[r].i_reg, pb.extras[c].i_reg) << what;
+      EXPECT_EQ(pa.extras[r].c_reg, pb.extras[c].c_reg) << what;
+    }
+    EXPECT_EQ(pa.st.n_comb, pb.st.n_comb) << what;
+    EXPECT_EQ(pa.st.n_reg, pb.st.n_reg) << what;
+  }
+}
+
 TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
   PretrainConfig pcfg;
   pcfg.epochs = 1;
@@ -458,33 +491,11 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToSerialOracle) {
         oracle::serial_encode(model.encoder(), *it.gate, *it.graphs, *it.trace));
   }
 
-  // Row r of `a` against row r * stride of the oracle `b`.
-  const auto expect_same = [&](const DesignEmbeddings& a,
+  const std::size_t d = model.encoder().dim();
+  const auto expect_same = [d](const DesignEmbeddings& a,
                                const DesignEmbeddings& b, std::size_t idx,
                                int stride = 1) {
-    ASSERT_EQ(a.num_cycles, (b.num_cycles + stride - 1) / stride)
-        << "item " << idx;
-    ASSERT_EQ(a.graphs.size(), b.graphs.size()) << "item " << idx;
-    const std::size_t d = model.encoder().dim();
-    for (std::size_t g = 0; g < a.graphs.size(); ++g) {
-      const DesignEmbeddings::PerGraph& pa = a.graphs[g];
-      const DesignEmbeddings::PerGraph& pb = b.graphs[g];
-      ASSERT_EQ(pa.emb.rows(), static_cast<std::size_t>(a.num_cycles));
-      ASSERT_EQ(pa.extras.size(), static_cast<std::size_t>(a.num_cycles));
-      for (std::size_t r = 0; r < pa.emb.rows(); ++r) {
-        const std::size_t c = r * static_cast<std::size_t>(stride);
-        for (std::size_t j = 0; j < d; ++j) {
-          ASSERT_EQ(pa.emb.at(r, j), pb.emb.at(c, j))
-              << "item " << idx << " graph " << g << " cycle " << c;
-        }
-        EXPECT_EQ(pa.extras[r].i_comb, pb.extras[c].i_comb);
-        EXPECT_EQ(pa.extras[r].c_comb, pb.extras[c].c_comb);
-        EXPECT_EQ(pa.extras[r].i_reg, pb.extras[c].i_reg);
-        EXPECT_EQ(pa.extras[r].c_reg, pb.extras[c].c_reg);
-      }
-      EXPECT_EQ(pa.st.n_comb, pb.st.n_comb);
-      EXPECT_EQ(pa.st.n_reg, pb.st.n_reg);
-    }
+    expect_same_embeddings(a, b, d, stride, "item " + std::to_string(idx));
   };
 
   const obs::Counter& pool_batches =
@@ -534,6 +545,176 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToSerialOracle) {
         "predict at threads=" + std::to_string(threads));
   }
   util::set_global_threads(0);
+}
+
+/// Distinct per-graph toggle vectors among encoded cycles 0, stride,
+/// 2 * stride, ...: the reference for encode_batch's reuse, by brute force
+/// over whole vectors.
+std::size_t distinct_toggle_vectors(const graph::SubmoduleGraph& g,
+                                    const sim::ToggleTrace& trace, int stride) {
+  std::set<std::vector<int>> seen;
+  for (int c = 0; c < trace.num_cycles(); c += stride) {
+    std::vector<int> v;
+    for (const netlist::NetId net : g.out_net) {
+      v.push_back(net == netlist::kNoNet ? -1 : trace.transitions(c, net));
+    }
+    seen.insert(std::move(v));
+  }
+  return seen.size();
+}
+
+/// Cycle `to` of `t` becomes a copy of cycle `from`.
+void copy_cycle(sim::ToggleTrace& t, std::size_t num_nets, int to, int from) {
+  for (netlist::NetId n = 0; n < num_nets; ++n) {
+    t.set(to, n, t.value(from, n), t.transitions(from, n));
+  }
+}
+
+TEST_F(AtlasCoreTest, EncodeBatchReusesDuplicateCyclesBitIdentically) {
+  // encode_batch projects each (node, toggle code) once into a per-graph
+  // table and encodes only the first of identical cycles. On crafted
+  // traces every row must still equal the serial oracle's, at any thread
+  // count, and the counters must count exactly the duplicate cycles.
+  ml::SgFormer::Config ecfg;
+  ecfg.in_dim = graph::kFeatureDim;
+  ecfg.dim = 16;
+  ecfg.seed = 7;
+  const ml::SgFormer enc(ecfg);
+  const std::size_t d = enc.dim();
+  // The post-layout netlist: its clock tree gives graph nodes clock nets.
+  const netlist::Netlist& gate = test_->layout.netlist;
+  const std::size_t num_nets = gate.num_nets();
+  const std::vector<bool> clock = sim::CycleSimulator(gate).clock_net_mask();
+  const std::vector<graph::SubmoduleGraph>& graphs = test_->post_graphs;
+
+  // 70 cycles: two runs of at most 64 encoded cycles per graph. Random
+  // codes on ~30% of nets per cycle (clock nets 2, data nets 1 or 2), then
+  // idle cycles and copies: adjacent (1 <- 0), across the run boundary
+  // (64, 65 <- 63), far apart (69 <- 3), and cycles the stride-10 item
+  // encodes (30 <- 10; idle 20 and 40).
+  constexpr int kCycles = 70;
+  const auto crafted = [&](std::uint64_t seed) {
+    util::Rng rng(seed);
+    sim::ToggleTrace t(num_nets, kCycles);
+    for (int c = 0; c < kCycles; ++c) {
+      for (netlist::NetId n = 0; n < num_nets; ++n) {
+        if (!rng.next_bool(0.3)) continue;
+        const int code = clock[n] ? 2 : 1 + static_cast<int>(rng.next_below(2));
+        t.set(c, n, rng.next_bool(), code);
+      }
+    }
+    for (const int c : {20, 40, 41, 42, 43, 44, 45}) {
+      for (netlist::NetId n = 0; n < num_nets; ++n) t.set(c, n, false, 0);
+    }
+    for (const auto& [to, from] : std::vector<std::pair<int, int>>{
+             {1, 0}, {64, 63}, {65, 63}, {69, 3}, {30, 10}}) {
+      copy_cycle(t, num_nets, to, from);
+    }
+    return t;
+  };
+  const sim::ToggleTrace trace_a = crafted(11);
+  const sim::ToggleTrace trace_b = crafted(12);
+
+  // The graphs with every fourth node cut from its output net; such a node
+  // keeps its static row, here with a nonzero toggle channel.
+  std::vector<graph::SubmoduleGraph> no_net = graphs;
+  std::size_t cut = 0;
+  for (graph::SubmoduleGraph& g : no_net) {
+    for (std::size_t i = 0; i < g.num_nodes(); i += 4, ++cut) {
+      g.out_net[i] = netlist::kNoNet;
+      g.static_features.at(i, graph::kToggleOffset) = 0.75f;
+    }
+  }
+  ASSERT_GT(cut, 0u);
+
+  // The trace drives all three codes on graph nodes, clock nets included.
+  std::set<int> codes;
+  bool clock_node = false;
+  for (const graph::SubmoduleGraph& g : graphs) {
+    for (const netlist::NetId net : g.out_net) {
+      if (net == netlist::kNoNet) continue;
+      clock_node = clock_node || clock[net];
+      for (int c = 0; c < kCycles; ++c) codes.insert(trace_a.transitions(c, net));
+    }
+  }
+  EXPECT_TRUE(clock_node);
+  EXPECT_EQ(codes, (std::set<int>{0, 1, 2}));
+
+  std::vector<DesignEmbeddings> oracles;
+  for (const auto& [g, t] :
+       {std::pair{&graphs, &trace_a}, {&graphs, &trace_b}, {&no_net, &trace_a}}) {
+    oracles.push_back(oracle::serial_encode(enc, gate, *g, *t));
+  }
+  struct Input {
+    const std::vector<graph::SubmoduleGraph>* graphs;
+    const sim::ToggleTrace* trace;
+    int stride;
+    std::size_t oracle;
+  };
+  // Two traces on one design, the no-net graphs, and a strided item.
+  const std::vector<Input> inputs = {{&graphs, &trace_a, 1, 0},
+                                     {&graphs, &trace_b, 1, 1},
+                                     {&no_net, &trace_a, 1, 2},
+                                     {&graphs, &trace_a, 10, 0}};
+  std::size_t expect_encoded = 0;
+  std::size_t expect_reused = 0;
+  for (const Input& in : inputs) {
+    for (const graph::SubmoduleGraph& g : *in.graphs) {
+      const std::size_t rows =
+          static_cast<std::size_t>((kCycles + in.stride - 1) / in.stride);
+      const std::size_t distinct = distinct_toggle_vectors(g, *in.trace, in.stride);
+      expect_encoded += distinct;
+      expect_reused += rows - distinct;
+    }
+  }
+  // Every crafted duplicate at least, in every graph of the stride-1 items.
+  EXPECT_GE(expect_reused, 3 * graphs.size() * 11);
+
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Counter& encoded = reg.counter("atlas_model_encoded_segments_total");
+  const obs::Counter& reused = reg.counter("atlas_model_reused_segments_total");
+  const obs::Counter& forwards = reg.counter("atlas_ml_sgformer_forward_total");
+  const obs::Counter& pool_batches = reg.counter("atlas_parallel_batches_total");
+  util::Arena arena;
+  for (const int threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::set_global_threads(threads);
+    std::vector<DesignEmbeddings> out(inputs.size());
+    std::vector<EncodeItem> items;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      items.push_back(EncodeItem{&gate, inputs[i].graphs, inputs[i].trace,
+                                 &out[i], inputs[i].stride});
+    }
+    const std::uint64_t encoded0 = encoded.value();
+    const std::uint64_t reused0 = reused.value();
+    const std::uint64_t forwards0 = forwards.value();
+    const std::uint64_t batches0 = pool_batches.value();
+    encode_batch(enc, items.data(), items.size(), arena);
+    EXPECT_LE(pool_batches.value() - batches0, 2u);
+    EXPECT_EQ(encoded.value() - encoded0, expect_encoded);
+    EXPECT_EQ(reused.value() - reused0, expect_reused);
+    // The kernel ran once per encoded segment, never for a copied one.
+    EXPECT_EQ(forwards.value() - forwards0, expect_encoded);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      expect_same_embeddings(out[i], oracles[inputs[i].oracle], d,
+                             inputs[i].stride,
+                             "item " + std::to_string(i));
+    }
+  }
+  util::set_global_threads(0);
+
+  // An idle trace: each graph encodes its first cycle and copies it to
+  // every later one.
+  const sim::ToggleTrace idle(num_nets, 70);
+  DesignEmbeddings idle_out;
+  const EncodeItem idle_item{&gate, &graphs, &idle, &idle_out};
+  const std::uint64_t encoded0 = encoded.value();
+  const std::uint64_t reused0 = reused.value();
+  encode_batch(enc, &idle_item, 1, arena);
+  EXPECT_EQ(encoded.value() - encoded0, graphs.size());
+  EXPECT_EQ(reused.value() - reused0, graphs.size() * 69);
+  expect_same_embeddings(idle_out, oracle::serial_encode(enc, gate, graphs, idle),
+                         d, 1, "idle");
 }
 
 TEST_F(AtlasCoreTest, MemoryModelAccurate) {

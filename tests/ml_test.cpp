@@ -485,11 +485,14 @@ TEST_F(SgFormerTest, SerializationRoundTrip) {
   }
 }
 
-TEST_F(SgFormerTest, FusedForwardBitIdenticalToForward) {
-  // The batched-serving kernel: several graphs of different sizes and
-  // topologies packed into one forward_fused call must reproduce each
-  // graph's forward() embedding bit for bit, at every thread count (the
-  // serve-path determinism contract rests on this).
+TEST_F(SgFormerTest, ProjectThenTailBitIdenticalToForward) {
+  // The inference kernels: several graphs of different sizes and
+  // topologies, projected by project_rows and packed into one forward_tail
+  // call, must reproduce each graph's forward() embedding bit for bit, at
+  // every thread count (the serve-path determinism contract rests on
+  // this). Projecting every row on its own and gathering the rows must
+  // give the same planes: encode_batch's per-graph projection tables rest
+  // on that row locality.
   SgFormer enc(cfg_);
   util::Rng rng(91);
   const std::vector<std::size_t> sizes = {4, 2, 5, 1};
@@ -529,24 +532,55 @@ TEST_F(SgFormerTest, FusedForwardBitIdenticalToForward) {
     dst += f.size();
   }
 
+  const std::size_t d = enc.dim();
+  std::vector<float> hqkv(4 * total * d);
+  enc.project_rows(packed.data(), total, hqkv.data());
+  // Row by row into a table, then gathered back into the four planes.
+  std::vector<float> gathered(4 * total * d);
+  for (std::size_t r = 0; r < total; ++r) {
+    std::vector<float> one(4 * d, -3.0f);
+    enc.project_rows(packed.row(r), 1, one.data());
+    for (std::size_t p = 0; p < 4; ++p) {
+      std::copy(one.begin() + static_cast<std::ptrdiff_t>(p * d),
+                one.begin() + static_cast<std::ptrdiff_t>((p + 1) * d),
+                gathered.begin() + static_cast<std::ptrdiff_t>((p * total + r) * d));
+    }
+  }
+  EXPECT_EQ(gathered, hqkv);
+
   for (const int threads : {1, 3, 8}) {
     util::set_global_threads(threads);
     util::Arena arena;
-    std::vector<float> out(sizes.size() * 8, -1.0f);
-    enc.forward_fused(segs.data(), segs.size(), packed.data(), out.data(),
-                      arena);
+    std::vector<float> out(sizes.size() * d, -1.0f);
+    enc.forward_tail(segs.data(), segs.size(), hqkv.data(), out.data(), arena);
     for (std::size_t g = 0; g < sizes.size(); ++g) {
-      for (std::size_t j = 0; j < 8; ++j) {
-        EXPECT_EQ(out[g * 8 + j], ref[g].at(0, j))
+      for (std::size_t j = 0; j < d; ++j) {
+        EXPECT_EQ(out[g * d + j], ref[g].at(0, j))
             << "threads=" << threads << " graph=" << g << " dim=" << j;
       }
     }
     // A recycled arena (reset, then reused) must not change results.
     arena.reset();
-    std::vector<float> again(sizes.size() * 8, -2.0f);
-    enc.forward_fused(segs.data(), segs.size(), packed.data(), again.data(),
-                      arena);
+    std::vector<float> again(sizes.size() * d, -2.0f);
+    enc.forward_tail(segs.data(), segs.size(), gathered.data(), again.data(),
+                     arena);
     EXPECT_EQ(again, out) << "threads=" << threads;
+    // Each segment alone, from its own rows of the planes.
+    std::size_t r0 = 0;
+    for (std::size_t g = 0; g < sizes.size(); ++g) {
+      std::vector<float> own(4 * sizes[g] * d);
+      for (std::size_t p = 0; p < 4; ++p) {
+        const float* src = hqkv.data() + (p * total + r0) * d;
+        std::copy(src, src + sizes[g] * d, own.begin() +
+                  static_cast<std::ptrdiff_t>(p * sizes[g] * d));
+      }
+      std::vector<float> solo(d, -4.0f);
+      enc.forward_tail(&segs[g], 1, own.data(), solo.data(), arena);
+      for (std::size_t j = 0; j < d; ++j) {
+        EXPECT_EQ(solo[j], ref[g].at(0, j)) << "solo graph=" << g;
+      }
+      r0 += sizes[g];
+    }
   }
   util::set_global_threads(0);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <stdexcept>
 
 #include "designgen/design_generator.h"
 #include "liberty/library.h"
@@ -211,6 +212,25 @@ TEST_F(SimTest, ToggleTraceAccounting) {
   EXPECT_EQ(t.total_transitions(0), 0);
   EXPECT_TRUE(t.value(3, 1));
   EXPECT_FALSE(t.value(2, 1));
+}
+
+TEST_F(SimTest, ToggleTraceRejectsTransitionsOutsideZeroToTwo) {
+  // The documented range is {0, 1, 2}. Stored, 128 would wrap in the
+  // 8-bit shift and read back as 0, and 3 would index past the encoder's
+  // three toggle-table rows per node.
+  ToggleTrace t(2, 2);
+  for (const int ok : {0, 1, 2}) {
+    t.set(1, 1, true, ok);
+    EXPECT_EQ(t.transitions(1, 1), ok);
+    EXPECT_TRUE(t.value(1, 1));
+  }
+  for (const int bad : {-1, 3, 127, 128, 255, 256}) {
+    EXPECT_THROW(t.set(0, 0, false, bad), std::invalid_argument) << bad;
+  }
+  // A rejected set leaves the stored entry untouched.
+  EXPECT_EQ(t.transitions(0, 0), 0);
+  EXPECT_EQ(t.transitions(1, 1), 2);
+  EXPECT_EQ(t.total_transitions(0), 0);
 }
 
 TEST_F(SimTest, DeterministicAcrossRuns) {

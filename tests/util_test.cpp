@@ -185,6 +185,44 @@ TEST(Cli, MissingValueThrows) {
   EXPECT_THROW(cli.parse(2, argv), std::runtime_error);
 }
 
+TEST(Cli, NumbersParseWholeValueAndNameTheFlag) {
+  Cli cli;
+  cli.flag("threads", "4", "").flag("scale", "0.5", "");
+  const auto error_of = [&](const char* flag, const char* value, bool real) {
+    const std::string arg = std::string("--") + flag + "=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    cli.parse(2, argv);
+    try {
+      if (real) {
+        cli.real(flag);
+      } else {
+        cli.integer(flag);
+      }
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // A trailing suffix is an error, not dropped ("4x" is not 4), and every
+  // error names the flag and the value.
+  EXPECT_EQ(error_of("threads", "4x", false),
+            "flag --threads expects an integer, got '4x'");
+  EXPECT_EQ(error_of("threads", "abc", false),
+            "flag --threads expects an integer, got 'abc'");
+  EXPECT_NE(error_of("threads", "", false), "");
+  EXPECT_NE(error_of("threads", "2.5", false), "");
+  EXPECT_NE(error_of("threads", "99999999999999999999", false), "");
+  EXPECT_EQ(error_of("scale", "0.5mm", true),
+            "flag --scale expects a number, got '0.5mm'");
+  EXPECT_NE(error_of("scale", "1e999", true), "");
+  EXPECT_NE(error_of("scale", "x", true), "");
+  // Whole values still parse, signs and exponents included.
+  EXPECT_EQ(error_of("threads", "-3", false), "");
+  EXPECT_EQ(cli.integer("threads"), -3);
+  EXPECT_EQ(error_of("scale", "2.5e-3", true), "");
+  EXPECT_DOUBLE_EQ(cli.real("scale"), 2.5e-3);
+}
+
 TEST(Serialize, RoundTripScalars) {
   std::stringstream ss;
   write_u32(ss, 42);
