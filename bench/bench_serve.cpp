@@ -1,29 +1,29 @@
-// bench_serve — serving-path latency and throughput for atlas_serve.
+// bench_serve — serving-path measurements atlasbench's serve_mix does not
+// take: the streamed upload formats, tracing overhead, the router hop and
+// the skewed routing volley.
 //
 // Trains a tiny model in-process, starts an in-process Server on an
 // ephemeral loopback port, and measures over the real wire protocol:
 //
-//   * cold request latency (empty feature cache: parse + graphs + sim +
-//     encoder + heads), sampled against fresh server instances;
-//   * design-warm latency (graphs cached, new workload: sim + encoder +
-//     heads);
-//   * fully warm latency (embedding cache hit: GBDT heads only);
+//   * fully warm latency (embedding cache hit: GBDT heads only) — the
+//     baseline for the tracing and router-hop deltas below;
 //   * streamed-trace latency, cold (upload + VCD parse + encoder + heads)
 //     and warm (trace-hash embedding hit: upload + heads only);
 //   * the same streamed predict over the binary ATDT delta encoding —
 //     wire bytes vs the VCD text and warm latency — plus design-by-hash
 //     (netlist referenced by FNV-1a hash instead of re-uploaded);
-//   * warm requests/sec at 1, 4 and 8 concurrent client connections;
 //   * distributed-tracing overhead: ObsSpan cost and warm predict latency
 //     with tracing disabled / context-but-unsampled / fully sampled (the
 //     disabled span site must cost nanoseconds);
 //   * with --router, the same warm latency and throughput through an
 //     atlas_router fronting a 2-backend fleet — the interesting number is
-//     the per-hop routing overhead against the direct warm latency.
+//     the per-hop routing overhead against the direct warm latency;
+//   * with --skew, a skewed volley through a 3-backend router fleet with
+//     hot-design replication off, then on.
 //
-// Numbers land in EXPERIMENTS.md. The interesting ratio is cold : warm —
-// the feature cache exists to delete the per-design preprocessing and
-// encoder forwards from repeat queries.
+// Cold, design-warm and concurrent warm serving on a production-shaped
+// model are atlasbench's serve_mix workload. Numbers land in
+// EXPERIMENTS.md.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
       .flag("cycles", "40", "workload cycles per request")
       .flag("dim", "16", "encoder embedding dimension")
       .flag("trees", "20", "GBDT estimators per group model")
-      .flag("cold-samples", "3", "fresh-server samples for cold latency")
-      .flag("warm-requests", "50", "warm requests per throughput client")
+      .flag("warm-requests", "50", "warm requests per router throughput client")
       .flag("threads", "0", "worker threads (0 = hardware concurrency)")
       .flag("router", "false",
             "also bench through atlas_router over a 2-backend fleet")
@@ -121,23 +120,8 @@ int main(int argc, char** argv) {
                 "netlist=%zu bytes\n\n",
                 scale, cycles, pre_cfg.dim, fcfg.gbdt.n_trees, verilog.size());
 
-    // --- latency: cold (fresh server per sample) ---------------------------
+    // --- latency: fully warm (the baseline for the deltas below) ----------
     const bool smoke = cli.boolean("smoke");
-    const int cold_samples =
-        smoke ? 1 : static_cast<int>(cli.integer("cold-samples"));
-    std::vector<double> cold_s;
-    for (int i = 0; i < cold_samples; ++i) {
-      serve::Server server(scfg, registry);
-      server.start();
-      serve::Client client =
-          serve::Client::connect_tcp("127.0.0.1", server.port());
-      util::Timer t;
-      client.predict(make_request(verilog, cycles, "w1"));
-      cold_s.push_back(t.seconds());
-      server.stop();
-    }
-
-    // --- latency: design-warm (new workload) and fully warm ----------------
     double direct_warm_ms = 0.0;
     serve::Server server(scfg, registry);
     server.start();
@@ -145,22 +129,14 @@ int main(int argc, char** argv) {
       serve::Client client =
           serve::Client::connect_tcp("127.0.0.1", server.port());
       client.predict(make_request(verilog, cycles, "w1"));  // prime
-      util::Timer tw2;
-      client.predict(make_request(verilog, cycles, "w2"));
-      const double design_warm_s = tw2.seconds();
-
       std::vector<double> warm_s;
       for (int i = 0; i < 10; ++i) {
         util::Timer t;
         client.predict(make_request(verilog, cycles, "w1"));
         warm_s.push_back(t.seconds());
       }
-      std::printf("latency (ms):\n");
-      std::printf("  cold  (parse+graphs+sim+encode+heads)  %8.2f\n",
-                  median(cold_s) * 1e3);
-      std::printf("  design-warm (sim+encode+heads, w2)     %8.2f\n",
-                  design_warm_s * 1e3);
       direct_warm_ms = median(warm_s) * 1e3;
+      std::printf("latency (ms):\n");
       std::printf("  warm  (embedding hit -> heads only)    %8.2f\n\n",
                   direct_warm_ms);
     }
@@ -242,30 +218,6 @@ int main(int argc, char** argv) {
       stream_server.stop();
     }
 
-    // --- throughput: warm requests/sec at N concurrent clients -------------
-    const int per_client =
-        smoke ? 5 : static_cast<int>(cli.integer("warm-requests"));
-    std::printf("warm throughput (%d requests/client):\n", per_client);
-    for (int nclients : {1, 4, 8}) {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(nclients));
-      util::Timer t;
-      for (int c = 0; c < nclients; ++c) {
-        threads.emplace_back([&] {
-          serve::Client client =
-              serve::Client::connect_tcp("127.0.0.1", server.port());
-          for (int r = 0; r < per_client; ++r) {
-            client.predict(make_request(verilog, cycles, "w1"));
-          }
-        });
-      }
-      for (std::thread& th : threads) th.join();
-      const double secs = t.seconds();
-      const double total = static_cast<double>(nclients) * per_client;
-      std::printf("  %d client%s  %8.1f req/s  (%.2f ms/req at the client)\n",
-                  nclients, nclients == 1 ? " " : "s", total / secs,
-                  secs * 1e3 * nclients / total);
-    }
     // --- tracing overhead: disabled vs unsampled vs sampled ----------------
     {
       // Micro: raw ObsSpan cost per tier. Disabled must be nanoseconds —
@@ -335,6 +287,8 @@ int main(int argc, char** argv) {
 
     // --- router tier: the same warm path through a 2-backend fleet ---------
     if (cli.boolean("router")) {
+      const int per_client =
+          smoke ? 5 : static_cast<int>(cli.integer("warm-requests"));
       serve::Server shard_a(scfg, registry);
       serve::Server shard_b(scfg, registry);
       shard_a.start();

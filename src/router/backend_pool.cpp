@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "obs/metrics.h"
-#include "serve/client.h"
 #include "util/strings.h"
 
 namespace atlas::router {
@@ -56,6 +55,17 @@ BackendAddress parse_backend(const std::string& spec) {
   addr.port = port;
   addr.id = addr.host + ":" + port_text;
   return addr;
+}
+
+util::Socket dial(const BackendAddress& address,
+                  const serve::ClientOptions& options) {
+  util::Socket sock =
+      address.is_unix()
+          ? util::connect_unix(address.unix_path, options.connect_timeout_ms)
+          : util::connect_tcp(address.host, address.port,
+                              options.connect_timeout_ms);
+  if (options.io_timeout_ms > 0) sock.set_io_timeout_ms(options.io_timeout_ms);
+  return sock;
 }
 
 std::vector<BackendAddress> parse_backend_list(const std::string& csv) {
@@ -408,10 +418,7 @@ BackendPool::ProbeResult BackendPool::probe_backend(
   options.io_timeout_ms = config_.timeout_ms;
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    serve::Client client =
-        address.is_unix()
-            ? serve::Client::connect_unix(address.unix_path, options)
-            : serve::Client::connect_tcp(address.host, address.port, options);
+    serve::Client client(dial(address, options));
     result.health = client.health();
     result.models = client.models();
     result.ok = true;

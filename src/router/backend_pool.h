@@ -40,6 +40,7 @@
 
 #include "router/hash_ring.h"
 #include "router/hot_keys.h"
+#include "serve/client.h"
 #include "serve/protocol.h"
 
 namespace atlas::router {
@@ -59,6 +60,11 @@ struct BackendAddress {
 /// Parse "host:port" or "unix:/path/to.sock"; throws std::runtime_error on
 /// anything else.
 BackendAddress parse_backend(const std::string& spec);
+
+/// Connect to `address` over TCP or its Unix-domain socket, within
+/// `options` (connect bound; IO bound when > 0). Throws util::SocketError.
+util::Socket dial(const BackendAddress& address,
+                  const serve::ClientOptions& options);
 
 /// Parse a comma-separated backend list, rejecting duplicates.
 std::vector<BackendAddress> parse_backend_list(const std::string& csv);

@@ -18,14 +18,8 @@ using serve::ErrorCode;
 using serve::ErrorResponse;
 using serve::Frame;
 using serve::MsgType;
-
-std::pair<MsgType, std::string> error_reply(ErrorCode code,
-                                            const std::string& message) {
-  ErrorResponse err;
-  err.code = code;
-  err.message = message;
-  return {MsgType::kError, err.encode()};
-}
+using serve::Reply;
+using serve::error_reply;
 
 obs::Counter& backend_counter(const char* name, const std::string& backend) {
   return obs::Registry::global().counter(name,
@@ -42,14 +36,12 @@ void count_failover(const std::string& backend) {
   backend_counter("atlas_router_failovers_total", backend).inc();
 }
 
-/// Decode an optional selector payload ("fleet", ...); empty or undecodable
-/// payloads — every pre-v2 client — mean "no selector".
-std::string optional_string_payload(const std::string& payload) {
-  if (payload.empty()) return std::string();
+/// The code of a backend Error reply; kInternal if it does not decode.
+ErrorCode error_code_of(const std::string& payload) {
   try {
-    return serve::decode_string_payload(payload);
+    return ErrorResponse::decode(payload).code;
   } catch (const serve::ProtocolError&) {
-    return std::string();
+    return ErrorCode::kInternal;
   }
 }
 
@@ -73,9 +65,6 @@ Router::~Router() { stop(); }
 
 void Router::start() {
   if (started_) throw std::logic_error("Router::start called twice");
-  if (config_.port < 0 && config_.unix_path.empty()) {
-    throw util::SocketError("router has no endpoint (TCP and UDS disabled)");
-  }
   pool_->start();
   // Register the per-backend counter families up front so they render at
   // zero before the first request/error/failover — scrapers see the series
@@ -85,71 +74,31 @@ void Router::start() {
     backend_counter("atlas_router_errors_total", b.id);
     backend_counter("atlas_router_failovers_total", b.id);
   }
-  if (config_.port >= 0) {
-    int port = config_.port;
-    tcp_listener_ = util::Listener::tcp(config_.host, port);
-    resolved_port_ = port;
-  }
-  if (!config_.unix_path.empty()) {
-    unix_listener_ = util::Listener::unix_domain(config_.unix_path);
-  }
+  host_.start(config_, [this]() -> serve::FrameHost::Handler {
+    // Upstream sockets are move-only, so the handler shares its state.
+    auto conn = std::make_shared<ConnectionState>();
+    return [this, conn](const Frame& frame) {
+      return handle_frame(frame, *conn);
+    };
+  });
   started_ = true;
-  if (tcp_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&tcp_listener_); });
-  }
-  if (unix_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&unix_listener_); });
-  }
   if (config_.verbose) {
     obs::LogLine line(obs::LogLevel::kInfo, "router");
     line.kv("event", "listening")
         .kv("backends", static_cast<std::int64_t>(pool_->all_backends().size()))
         .kv("ring", static_cast<std::int64_t>(pool_->ring_size()));
-    if (resolved_port_ >= 0) {
-      line.kv("host", config_.host).kv("port", resolved_port_);
-    }
-    if (!config_.unix_path.empty()) line.kv("uds", config_.unix_path);
+    host_.log_endpoints(line);
   }
 }
 
 void Router::stop() {
   if (!started_ || stopped_) return;
-  stopping_.store(true);
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& c : conns_) c->sock.shutdown_read();
-  }
-  for (;;) {
-    std::unique_ptr<Connection> conn;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (conns_.empty()) break;
-      conn = std::move(conns_.back());
-      conns_.pop_back();
-    }
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-  tcp_listener_.close();
-  unix_listener_.close();
+  host_.stop_accepting();
+  host_.close_connections();
   pool_->stop();
   stopped_ = true;
   if (config_.verbose) {
     obs::LogLine(obs::LogLevel::kInfo, "router").kv("event", "stopped");
-  }
-}
-
-void Router::wait_for_stop_request(const std::function<bool()>& poll) {
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  for (;;) {
-    if (stop_requested_.load()) return;
-    if (poll && poll()) return;
-    if (poll) {
-      stop_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    } else {
-      stop_cv_.wait(lock);
-    }
   }
 }
 
@@ -190,145 +139,50 @@ serve::HealthResponse Router::health_snapshot() const {
   // probe timeout total — not one per dead backend.
   pool_->probe_all_now();
   serve::HealthResponse h = pool_->aggregate_health();
-  h.draining = stopping_.load() || stop_requested_.load();
+  h.draining = host_.stopping() || host_.stop_requested();
   return h;
 }
 
-void Router::accept_loop(util::Listener* listener) {
-  while (!stopping_.load()) {
-    std::optional<util::Socket> sock;
-    try {
-      sock = listener->accept(/*timeout_ms=*/100);
-    } catch (const util::SocketError&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      continue;
-    }
-    reap_finished_connections();
-    if (!sock) continue;
-    auto conn = std::make_unique<Connection>();
-    conn->sock = std::move(*sock);
-    Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(conn));
-    }
-    raw->thread = std::thread([this, raw] { connection_loop(raw); });
-  }
-}
-
-void Router::reap_finished_connections() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = std::partition(conns_.begin(), conns_.end(),
-                             [](const auto& c) { return !c->done.load(); });
-    for (auto move_it = it; move_it != conns_.end(); ++move_it) {
-      finished.push_back(std::move(*move_it));
-    }
-    conns_.erase(it, conns_.end());
-  }
-  for (auto& c : finished) {
-    if (c->thread.joinable()) c->thread.join();
-  }
-}
-
-void Router::connection_loop(Connection* conn) {
-  util::Socket& sock = conn->sock;
-  UpstreamMap upstreams;  // owned by this thread; dies with the connection
-  StreamRelay relay;
-  try {
-    for (;;) {
-      Frame frame;
-      try {
-        if (!serve::read_frame(sock, frame, config_.max_frame_bytes)) break;
-      } catch (const serve::ProtocolError& e) {
-        const auto [type, payload] =
-            error_reply(ErrorCode::kBadRequest, e.what());
-        try {
-          serve::write_frame(sock, type, payload);
-        } catch (const util::SocketError&) {
-        }
-        break;
-      }
-
-      switch (frame.type) {
-        case MsgType::kPing:
-          serve::write_frame(sock, MsgType::kPong,
-                             serve::encode_string_payload("pong"));
-          break;
-        case MsgType::kHealth:
-          serve::write_frame(sock, MsgType::kHealthReport,
-                             health_snapshot().encode());
-          break;
-        case MsgType::kStats:
-          serve::write_frame(sock, MsgType::kStatsText,
-                             serve::encode_string_payload(stats_text()));
-          break;
-        case MsgType::kMetrics:
-          serve::write_frame(
-              sock, MsgType::kMetricsText,
+Reply Router::handle_frame(const Frame& frame, ConnectionState& conn) {
+  switch (frame.type) {
+    case MsgType::kPing:
+      return {MsgType::kPong, serve::encode_string_payload("pong")};
+    case MsgType::kHealth:
+      return {MsgType::kHealthReport, health_snapshot().encode()};
+    case MsgType::kStats:
+      return {MsgType::kStatsText, serve::encode_string_payload(stats_text())};
+    case MsgType::kMetrics:
+      return {MsgType::kMetricsText,
               serve::encode_string_payload(
-                  optional_string_payload(frame.payload) == "fleet"
+                  serve::optional_string_payload(frame.payload) == "fleet"
                       ? fleet_metrics()
-                      : obs::Registry::global().render_prometheus()));
-          break;
-        case MsgType::kTraceDump: {
-          const auto [type, payload] = trace_dump_fanout();
-          serve::write_frame(sock, type, payload);
-          break;
-        }
-        case MsgType::kShutdown:
-          // Shut the router down; the backends are someone else's lifecycle
-          // (an operator draining the tier does not want the fleet dead).
-          {
-            std::lock_guard<std::mutex> stop_lock(stop_mu_);
-            stop_requested_.store(true);
-          }
-          stop_cv_.notify_all();
-          serve::write_frame(sock, MsgType::kShutdownOk,
-                             serve::encode_string_payload("ok"));
-          break;
-        case MsgType::kListModels: {
-          // Models are replicated fleet-wide: any live shard's list is the
-          // tier's list. Routed like a predict (with failover) so a dead
-          // backend never blanks the answer.
-          const auto [type, payload] = route_predict(upstreams, frame);
-          serve::write_frame(sock, type, payload);
-          break;
-        }
-        case MsgType::kLoadModel:
-        case MsgType::kUnloadModel: {
-          const auto [type, payload] = admin_fanout(frame);
-          serve::write_frame(sock, type, payload);
-          break;
-        }
-        case MsgType::kPredict: {
-          const auto [type, payload] = route_predict(upstreams, frame);
-          serve::write_frame(sock, type, payload);
-          break;
-        }
-        case MsgType::kStreamBegin:
-        case MsgType::kStreamChunk:
-        case MsgType::kStreamEnd: {
-          const auto [type, payload] = handle_stream(upstreams, frame, relay);
-          serve::write_frame(sock, type, payload);
-          break;
-        }
-        default: {
-          const auto [type, payload] = error_reply(
-              ErrorCode::kBadRequest,
-              "unknown message type " +
-                  std::to_string(static_cast<std::uint32_t>(frame.type)));
-          serve::write_frame(sock, type, payload);
-          break;
-        }
-      }
-    }
-  } catch (const std::exception&) {
-    // Client vanished mid-write: drop this connection only.
+                      : obs::Registry::global().render_prometheus())};
+    case MsgType::kTraceDump:
+      return trace_dump_fanout();
+    case MsgType::kShutdown:
+      // Shut the router down; the backends are someone else's lifecycle
+      // (an operator draining the tier does not want the fleet dead).
+      host_.request_stop();
+      return {MsgType::kShutdownOk, serve::encode_string_payload("ok")};
+    case MsgType::kListModels:
+      // Models are replicated fleet-wide: any live shard's list is the
+      // tier's list. Routed like a predict (with failover) so a dead
+      // backend never blanks the answer.
+    case MsgType::kPredict:
+      return route_predict(conn.upstreams, frame);
+    case MsgType::kLoadModel:
+    case MsgType::kUnloadModel:
+      return admin_fanout(frame);
+    case MsgType::kStreamBegin:
+    case MsgType::kStreamChunk:
+    case MsgType::kStreamEnd:
+      return handle_stream(conn.upstreams, frame, conn.relay);
+    default:
+      return error_reply(
+          ErrorCode::kBadRequest,
+          "unknown message type " +
+              std::to_string(static_cast<std::uint32_t>(frame.type)));
   }
-  sock.shutdown_both();
-  conn->done.store(true);
 }
 
 util::Socket* Router::upstream(UpstreamMap& upstreams, const std::string& id) {
@@ -337,16 +191,9 @@ util::Socket* Router::upstream(UpstreamMap& upstreams, const std::string& id) {
   const std::optional<BackendAddress> addr = pool_->address(id);
   if (!addr) return nullptr;
   try {
-    util::Socket sock =
-        addr->is_unix()
-            ? util::connect_unix(addr->unix_path,
-                                 config_.backend_connect_timeout_ms)
-            : util::connect_tcp(addr->host, addr->port,
-                                config_.backend_connect_timeout_ms);
-    if (config_.backend_io_timeout_ms > 0) {
-      sock.set_io_timeout_ms(config_.backend_io_timeout_ms);
-    }
-    auto [pos, inserted] = upstreams.insert_or_assign(id, std::move(sock));
+    auto [pos, inserted] = upstreams.insert_or_assign(
+        id, dial(*addr, {config_.backend_connect_timeout_ms,
+                         config_.backend_io_timeout_ms}));
     return &pos->second;
   } catch (const util::SocketError&) {
     return nullptr;
@@ -383,69 +230,32 @@ std::uint64_t Router::placement_key(std::uint64_t netlist_hash,
   return util::hash_mix(netlist_hash, lib_hash);
 }
 
-std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
-                                                      const Frame& frame) {
-  std::vector<std::string> chain;
-  serve::PredictRequest req;
-  // Keyed predicts are always re-encoded: the forwarded copy asks the
-  // shard to piggyback its live load on the reply (want_queue_depth), and
-  // traced ones additionally get a fresh per-attempt child span as the
-  // backend's parent. Unkeyed requests (ListModels) keep the raw
-  // zero-copy forwarding path.
-  const bool keyed = frame.type == MsgType::kPredict;
-  std::optional<obs::TraceContextScope> scope;
-  std::optional<obs::ObsSpan> span;
-  if (keyed) {
-    try {
-      req = serve::PredictRequest::decode(frame.payload);
-    } catch (const serve::ProtocolError& e) {
-      return error_reply(ErrorCode::kBadRequest, e.what());
-    }
-    chain = pool_->route_load_aware(
-        placement_key(util::fnv1a64(req.netlist_verilog), req.model));
-    req.ext.want_queue_depth = true;
-    const obs::TraceContext ctx = adopt_context(req.ext.trace);
-    if (ctx.valid()) {
-      scope.emplace(ctx);
-      span.emplace("router", "predict");
-    }
-  } else {
-    // Any live shard will do; use the chain for a fixed key so the answer
-    // is deterministic while the ring is.
-    chain = pool_->route(0);
-  }
+Router::Forwarded Router::forward_along(
+    UpstreamMap& upstreams, MsgType type, const std::vector<std::string>& chain,
+    bool traced,
+    const std::function<std::string(const obs::TraceContext&)>& encode) {
   if (chain.empty()) {
-    return error_reply(ErrorCode::kInternal,
-                       "no live backends (ring is empty)");
+    return {error_reply(ErrorCode::kInternal, "no live backends (ring is empty)"),
+            0, {}};
   }
   // If every candidate sheds, the client must see the overload (retryable,
   // self-describing), not a generic routing failure.
-  std::optional<std::pair<MsgType, std::string>> overloaded_reply;
+  std::optional<Reply> overloaded_reply;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const std::string& id = chain[i];
+    // The attempt span covers exactly this round trip, so a failover shows
+    // up in the merged timeline as one short failed attempt followed by a
+    // sibling against the successor.
+    std::optional<obs::ObsSpan> attempt;
+    if (traced) attempt.emplace("router", "forward:" + id);
+    Frame request{type, encode(attempt ? attempt->context()
+                                       : obs::TraceContext{})};
     Frame response;
-    bool forwarded;
-    if (keyed) {
-      // The attempt span covers exactly this round trip, so a failover
-      // shows up in the merged timeline as one short failed attempt
-      // followed by a sibling against the successor.
-      std::optional<obs::ObsSpan> attempt;
-      if (span) {
-        attempt.emplace("router", "forward:" + id);
-        req.ext.trace = attempt->context();
-      }
-      Frame fwd;
-      fwd.type = frame.type;
-      fwd.payload = req.encode();
-      forwarded = forward(upstreams, id, fwd, response);
-    } else {
-      forwarded = forward(upstreams, id, frame, response);
-    }
-    if (!forwarded) {
+    if (!forward(upstreams, id, request, response)) {
       count_failover(id);
       continue;
     }
-    if (keyed) {
+    if (type == MsgType::kPredict) {
       // Strip the load tail before anything is relayed — the client's
       // payload must stay bit-identical to direct serving — and feed the
       // request-fresh depth to the routing policy.
@@ -455,20 +265,15 @@ std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
       }
     }
     if (response.type == MsgType::kError) {
-      ErrorResponse err;
-      try {
-        err = ErrorResponse::decode(response.payload);
-      } catch (const serve::ProtocolError&) {
-        err.code = ErrorCode::kInternal;
-      }
-      if (err.code == ErrorCode::kShuttingDown) {
+      const ErrorCode code = error_code_of(response.payload);
+      if (code == ErrorCode::kShuttingDown) {
         // The shard is draining, not broken: take it out of new placements
         // and let the successor serve this request.
         pool_->report_draining(id);
         count_failover(id);
         continue;
       }
-      if (err.code == ErrorCode::kOverloaded && keyed) {
+      if (code == ErrorCode::kOverloaded) {
         // Authoritative about the *shard's* state, not about the request:
         // the shard is healthy but past its cold-request watermark. Rank
         // it last for future picks and try the next candidate — for a hot
@@ -476,52 +281,80 @@ std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
         // wants this request to land.
         pool_->note_overloaded(id);
         count_failover(id);
-        overloaded_reply = {response.type, response.payload};
+        overloaded_reply = {response.type, std::move(response.payload)};
         continue;
       }
       // Authoritative: the backend looked at the request and said no
       // (unknown model, bad request, unknown design, ...). Relay it.
       count_error(id);
     }
-    return {response.type, response.payload};
+    return {{response.type, std::move(response.payload)}, i,
+            std::move(request.payload)};
   }
-  if (overloaded_reply) return *overloaded_reply;
-  return error_reply(ErrorCode::kInternal,
-                     "all " + std::to_string(chain.size()) +
-                         " candidate backends failed");
+  if (overloaded_reply) return {std::move(*overloaded_reply), chain.size(), {}};
+  return {error_reply(ErrorCode::kInternal,
+                      "all " + std::to_string(chain.size()) +
+                          " candidate backends failed"),
+          chain.size(), {}};
+}
+
+Reply Router::route_predict(UpstreamMap& upstreams, const Frame& frame) {
+  if (frame.type != MsgType::kPredict) {
+    // ListModels: any live shard will do; the chain for a fixed key keeps
+    // the answer deterministic while the ring is. Forwarded as sent.
+    return forward_along(upstreams, frame.type, pool_->route(0), false,
+                         [&](const obs::TraceContext&) { return frame.payload; })
+        .reply;
+  }
+  serve::PredictRequest req;
+  try {
+    req = serve::PredictRequest::decode(frame.payload);
+  } catch (const serve::ProtocolError& e) {
+    return error_reply(ErrorCode::kBadRequest, e.what());
+  }
+  const std::vector<std::string> chain = pool_->route_load_aware(
+      placement_key(util::fnv1a64(req.netlist_verilog), req.model));
+  // Predicts are always re-encoded: the forwarded copy asks the shard to
+  // piggyback its live load on the reply (want_queue_depth), and traced
+  // ones give each attempt its own child span as the backend's parent.
+  req.ext.want_queue_depth = true;
+  const obs::TraceContext ctx = adopt_context(req.ext.trace);
+  std::optional<obs::TraceContextScope> scope;
+  std::optional<obs::ObsSpan> span;
+  if (ctx.valid()) {
+    scope.emplace(ctx);
+    span.emplace("router", "predict");
+  }
+  return forward_along(upstreams, frame.type, chain, span.has_value(),
+                       [&](const obs::TraceContext& attempt) {
+                         if (attempt.valid()) req.ext.trace = attempt;
+                         return req.encode();
+                       })
+      .reply;
 }
 
 bool Router::replay_stream(UpstreamMap& upstreams, const std::string& id,
                            const StreamRelay& relay, Frame& error,
                            bool& authoritative) {
   authoritative = false;
-  Frame request;
-  request.type = MsgType::kStreamBegin;
-  request.payload = relay.begin_payload;
-  Frame response;
-  if (!forward(upstreams, id, request, response)) return false;
-  if (response.type == MsgType::kError) {
-    // e.g. kUnknownDesign: the successor's cache is cold for a design-by-
-    // hash stream. That is the client's fallback protocol, not ours.
-    error = std::move(response);
-    authoritative = true;
-    return false;
-  }
-  request.type = MsgType::kStreamChunk;
-  for (const std::string& chunk : relay.chunk_payloads) {
-    request.payload = chunk;
+  Frame request{MsgType::kStreamBegin, relay.begin_payload};
+  for (std::size_t next_chunk = 0;; ++next_chunk) {
+    Frame response;
     if (!forward(upstreams, id, request, response)) return false;
     if (response.type == MsgType::kError) {
+      // e.g. kUnknownDesign: the successor's cache is cold for a design-by-
+      // hash stream. That is the client's fallback protocol, not ours.
       error = std::move(response);
       authoritative = true;
       return false;
     }
+    if (next_chunk == relay.chunk_payloads.size()) return true;
+    request = {MsgType::kStreamChunk, relay.chunk_payloads[next_chunk]};
   }
-  return true;
 }
 
 bool Router::failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
-                             std::pair<MsgType, std::string>& reply) {
+                             Reply& reply) {
   count_failover(relay.backend);
   // Traced streams: each failover attempt gets its own child span under the
   // context adopted at Begin, and the buffered Begin is re-parented under it
@@ -563,9 +396,8 @@ bool Router::failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
   return false;
 }
 
-std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
-                                                      const Frame& frame,
-                                                      StreamRelay& relay) {
+Reply Router::handle_stream(UpstreamMap& upstreams, const Frame& frame,
+                            StreamRelay& relay) {
   if (frame.type == MsgType::kStreamBegin) {
     if (relay.active) {
       // Mirror the backend contract (stream_begin while active is a
@@ -598,10 +430,6 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
                                            : util::fnv1a64(begin.netlist_verilog);
     std::vector<std::string> chain =
         pool_->route_load_aware(placement_key(netlist_hash, begin.model));
-    if (chain.empty()) {
-      return error_reply(ErrorCode::kInternal,
-                         "no live backends (ring is empty)");
-    }
     const obs::TraceContext ctx = adopt_context(begin.ext.trace);
     std::optional<obs::TraceContextScope> scope;
     std::optional<obs::ObsSpan> span;
@@ -613,46 +441,21 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
     // shard piggyback its live load on the StreamEnd reply (stripped below
     // before it reaches the client).
     begin.ext.want_queue_depth = true;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      Frame response;
-      Frame fwd;
-      std::optional<obs::ObsSpan> attempt;
-      if (span) {
-        attempt.emplace("router", "forward:" + chain[i]);
-        begin.ext.trace = attempt->context();
-      }
-      fwd.type = frame.type;
-      fwd.payload = begin.encode();
-      if (!forward(upstreams, chain[i], fwd, response)) {
-        count_failover(chain[i]);
-        continue;
-      }
-      if (response.type == MsgType::kError) {
-        ErrorResponse err;
-        try {
-          err = ErrorResponse::decode(response.payload);
-        } catch (const serve::ProtocolError&) {
-          err.code = ErrorCode::kInternal;
-        }
-        if (err.code == ErrorCode::kShuttingDown) {
-          pool_->report_draining(chain[i]);
-          count_failover(chain[i]);
-          continue;
-        }
-        count_error(chain[i]);
-        return {response.type, response.payload};
-      }
+    Forwarded fwd = forward_along(upstreams, frame.type, chain,
+                                  span.has_value(),
+                                  [&](const obs::TraceContext& attempt) {
+                                    if (attempt.valid()) begin.ext.trace = attempt;
+                                    return begin.encode();
+                                  });
+    if (fwd.answered < chain.size() && fwd.reply.first != MsgType::kError) {
       relay.active = true;
-      relay.backend = chain[i];
+      relay.backend = chain[fwd.answered];
       relay.chain = std::move(chain);
-      relay.chain_pos = i;
-      relay.begin_payload = fwd.payload;
+      relay.chain_pos = fwd.answered;
+      relay.begin_payload = std::move(fwd.sent);
       relay.ctx = ctx;
-      return {response.type, response.payload};
     }
-    return error_reply(ErrorCode::kInternal,
-                       "all " + std::to_string(chain.size()) +
-                           " candidate backends failed");
+    return std::move(fwd.reply);
   }
 
   // Chunk / End.
@@ -665,7 +468,7 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
   for (;;) {
     Frame response;
     if (!forward(upstreams, relay.backend, frame, response)) {
-      std::pair<MsgType, std::string> reply;
+      Reply reply;
       if (!failover_stream(upstreams, relay, reply)) return reply;
       continue;  // stream replayed onto the successor; re-send this frame
     }
@@ -678,18 +481,12 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
       }
     }
     if (response.type == MsgType::kError) {
-      ErrorResponse err;
-      try {
-        err = ErrorResponse::decode(response.payload);
-      } catch (const serve::ProtocolError&) {
-        err.code = ErrorCode::kInternal;
-      }
-      if (err.code == ErrorCode::kShuttingDown) {
+      if (error_code_of(response.payload) == ErrorCode::kShuttingDown) {
         // Only StreamEnd's predict dispatch answers this; the upload is
         // fully buffered, so replaying it to the successor turns a drain
         // into a transparent retry.
         pool_->report_draining(relay.backend);
-        std::pair<MsgType, std::string> reply;
+        Reply reply;
         if (!failover_stream(upstreams, relay, reply)) return reply;
         continue;
       }
@@ -709,7 +506,13 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
   }
 }
 
-std::pair<MsgType, std::string> Router::admin_fanout(const Frame& frame) {
+serve::ClientOptions Router::fanout_options() const {
+  // A wedged shard must cost a bounded wait, not a hang.
+  return {config_.backend_connect_timeout_ms,
+          std::max(config_.probe.timeout_ms * 10, 10000)};
+}
+
+Reply Router::admin_fanout(const Frame& frame) {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "model administration is disabled "
@@ -720,19 +523,11 @@ std::pair<MsgType, std::string> Router::admin_fanout(const Frame& frame) {
   std::size_t ok = 0;
   // Fresh bounded connections rather than the data-path upstreams: admin
   // must reach *every* configured shard, including ones currently out of
-  // the ring, and a wedged shard must cost a bounded wait, not a hang.
-  serve::ClientOptions options;
-  options.connect_timeout_ms = config_.backend_connect_timeout_ms;
-  options.io_timeout_ms = std::max(config_.probe.timeout_ms * 10, 10000);
+  // the ring.
   for (const BackendAddress& addr : backends) {
     report << addr.id << ": ";
     try {
-      util::Socket sock =
-          addr.is_unix()
-              ? util::connect_unix(addr.unix_path, options.connect_timeout_ms)
-              : util::connect_tcp(addr.host, addr.port,
-                                  options.connect_timeout_ms);
-      sock.set_io_timeout_ms(options.io_timeout_ms);
+      util::Socket sock = dial(addr, fanout_options());
       serve::write_frame(sock, frame.type, frame.payload);
       Frame response;
       if (!serve::read_frame(sock, response, config_.max_frame_bytes)) {
@@ -767,24 +562,18 @@ std::pair<MsgType, std::string> Router::admin_fanout(const Frame& frame) {
                      "admin fan-out incomplete: " + text);
 }
 
-std::pair<MsgType, std::string> Router::trace_dump_fanout() {
+Reply Router::trace_dump_fanout() {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "trace dump is disabled "
                        "(start the router with --allow-admin)");
   }
-  serve::ClientOptions options;
-  options.connect_timeout_ms = config_.backend_connect_timeout_ms;
-  options.io_timeout_ms = std::max(config_.probe.timeout_ms * 10, 10000);
   std::vector<std::string> parts;
   parts.push_back(obs::Trace::drain_chrome_json());
   for (const BackendAddress& addr : pool_->all_backends()) {
     try {
-      serve::Client client =
-          addr.is_unix()
-              ? serve::Client::connect_unix(addr.unix_path, options)
-              : serve::Client::connect_tcp(addr.host, addr.port, options);
-      parts.push_back(client.trace_dump_text());
+      parts.push_back(
+          serve::Client(dial(addr, fanout_options())).trace_dump_text());
     } catch (const std::exception& e) {
       // Unreachable (or admin-disabled) shard: a forensic pull should
       // return what the rest of the fleet has, not fail on the sickest
@@ -802,18 +591,12 @@ std::pair<MsgType, std::string> Router::trace_dump_fanout() {
 }
 
 std::string Router::fleet_metrics() {
-  serve::ClientOptions options;
-  options.connect_timeout_ms = config_.backend_connect_timeout_ms;
-  options.io_timeout_ms = std::max(config_.probe.timeout_ms * 10, 10000);
   std::vector<std::pair<std::string, std::string>> shards;
   shards.emplace_back("router", obs::Registry::global().render_prometheus());
   for (const BackendAddress& addr : pool_->all_backends()) {
     try {
-      serve::Client client =
-          addr.is_unix()
-              ? serve::Client::connect_unix(addr.unix_path, options)
-              : serve::Client::connect_tcp(addr.host, addr.port, options);
-      shards.emplace_back(addr.id, client.metrics_text());
+      shards.emplace_back(
+          addr.id, serve::Client(dial(addr, fanout_options())).metrics_text());
     } catch (const std::exception&) {
       // A dead shard contributes no series; atlas_router_backend_up{...} 0
       // (in the router's own exposition) is the signal scrapers alert on.

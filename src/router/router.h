@@ -50,40 +50,30 @@
 // parent, so failovers appear in the merged timeline as sibling attempts.
 // Untraced requests keep the raw zero-copy forwarding path.
 //
-// Threading mirrors serve::Server: one accept thread per listener, one
-// thread per client connection. Each connection thread owns its upstream
-// sockets (one per backend, lazily connected, reused across requests), so
-// the data path shares no mutable state across connections — only the
-// BackendPool (internally locked) and the obs metrics registry (atomics).
+// Threading: the router runs on the same serve::FrameHost as atlas_serve
+// (one accept thread per listener, one thread per client connection, the
+// bad-frame path and the stop handshake). Each connection's handler owns
+// its upstream sockets (one per backend, lazily connected, reused across
+// requests) and its stream relay, so the data path shares no mutable
+// state across connections — only the BackendPool (internally locked) and
+// the obs metrics registry (atomics).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
 #include "router/backend_pool.h"
+#include "serve/frame_host.h"
 #include "serve/protocol.h"
-#include "util/socket.h"
 
 namespace atlas::router {
 
-struct RouterConfig {
-  /// TCP endpoint; port 0 binds an ephemeral port (see Router::port()),
-  /// port < 0 disables TCP.
-  std::string host = "127.0.0.1";
-  int port = 0;
-  /// Unix-domain socket path; empty disables.
-  std::string unix_path;
-
-  std::size_t max_frame_bytes = serve::kDefaultMaxFrameBytes;
+struct RouterConfig : serve::ListenConfig {
   /// Bound on the per-stream replay buffer (and thus on what StreamBegin
   /// may declare). Should not exceed the backends' own max_stream_bytes —
   /// they would reject the upload anyway.
@@ -105,7 +95,6 @@ struct RouterConfig {
   /// atlas_serve: admin is an operator capability. The backends enforce
   /// their own flag too — this gate just fails fast at the tier edge.
   bool allow_admin = false;
-  bool verbose = false;
 };
 
 class Router {
@@ -122,10 +111,12 @@ class Router {
   void stop();
 
   /// Resolved TCP port after an ephemeral bind; -1 when TCP is disabled.
-  int port() const { return resolved_port_; }
+  int port() const { return host_.port(); }
 
-  bool stop_requested() const { return stop_requested_.load(); }
-  void wait_for_stop_request(const std::function<bool()>& poll = {});
+  bool stop_requested() const { return host_.stop_requested(); }
+  void wait_for_stop_request(const std::function<bool()>& poll = {}) {
+    host_.wait_for_stop_request(poll);
+  }
 
   /// Membership/liveness state (tests assert on it directly).
   BackendPool& pool() { return *pool_; }
@@ -134,11 +125,6 @@ class Router {
   std::string stats_text() const;
 
  private:
-  struct Connection {
-    util::Socket sock;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
   /// Lazily-connected upstream sockets, one per backend id, owned by a
   /// single connection thread.
   using UpstreamMap = std::map<std::string, util::Socket>;
@@ -167,9 +153,14 @@ class Router {
     }
   };
 
-  void accept_loop(util::Listener* listener);
-  void connection_loop(Connection* conn);
-  void reap_finished_connections();
+  /// What one client connection's handler owns.
+  struct ConnectionState {
+    UpstreamMap upstreams;
+    StreamRelay relay;
+  };
+
+  /// The per-connection handler: answers one client frame.
+  serve::Reply handle_frame(const serve::Frame& frame, ConnectionState& conn);
 
   /// Borrow (connecting if needed) the upstream socket for `id`; nullptr
   /// when the backend is unknown or unreachable.
@@ -187,11 +178,32 @@ class Router {
   std::uint64_t placement_key(std::uint64_t netlist_hash,
                               const std::string& model) const;
 
-  std::pair<serve::MsgType, std::string> route_predict(UpstreamMap& upstreams,
-                                                       const serve::Frame& frame);
-  std::pair<serve::MsgType, std::string> handle_stream(UpstreamMap& upstreams,
-                                                       const serve::Frame& frame,
-                                                       StreamRelay& relay);
+  /// The outcome of forward_along.
+  struct Forwarded {
+    serve::Reply reply;
+    /// Chain position that answered; chain.size() when none did.
+    std::size_t answered = 0;
+    /// The request payload the answering candidate was sent.
+    std::string sent;
+  };
+  /// Forward one request along `chain` until a candidate answers. Each
+  /// attempt sends `encode(ctx)`, where ctx is the attempt's own
+  /// "forward:<id>" span context when `traced` and invalid otherwise.
+  /// Transport failures and kShuttingDown fail over to the next candidate;
+  /// kOverloaded marks the shard busy and tries the next one; any other
+  /// reply (success, or an authoritative error) is the answer. Predict
+  /// replies have their load tail stripped and fed to the pool. When no
+  /// candidate answers, the reply is the last shed (if any shard shed) or
+  /// kInternal.
+  Forwarded forward_along(
+      UpstreamMap& upstreams, serve::MsgType type,
+      const std::vector<std::string>& chain, bool traced,
+      const std::function<std::string(const obs::TraceContext&)>& encode);
+
+  serve::Reply route_predict(UpstreamMap& upstreams,
+                             const serve::Frame& frame);
+  serve::Reply handle_stream(UpstreamMap& upstreams, const serve::Frame& frame,
+                             StreamRelay& relay);
   /// Replay the buffered stream prefix (Begin + acked chunks) to `id`.
   /// Returns true when every frame was acked; an authoritative error reply
   /// lands in `error` with `authoritative` = true (relay it, the stream is
@@ -205,14 +217,17 @@ class Router {
   /// relay.backend on success; on authoritative rejection or chain
   /// exhaustion returns false with the reply to send in `reply`.
   bool failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
-                       std::pair<serve::MsgType, std::string>& reply);
+                       serve::Reply& reply);
 
-  std::pair<serve::MsgType, std::string> admin_fanout(const serve::Frame& frame);
+  /// Bounds for the control-plane fan-outs (admin, trace dump, fleet
+  /// metrics): fresh connections to every configured backend.
+  serve::ClientOptions fanout_options() const;
+  serve::Reply admin_fanout(const serve::Frame& frame);
   /// Admin-gated TraceDump: drain the local span ring and every reachable
   /// backend's, answer one merged Chrome trace (kTraceJson). Unreachable or
   /// admin-disabled shards are skipped — a forensic pull should return what
   /// the rest of the fleet has, not fail on the sickest member.
-  std::pair<serve::MsgType, std::string> trace_dump_fanout();
+  serve::Reply trace_dump_fanout();
   /// Metrics "fleet" selector: every backend's Prometheus exposition merged
   /// with per-shard shard="<id>" labels, the router's own registry included
   /// as shard="router".
@@ -221,21 +236,11 @@ class Router {
 
   RouterConfig config_;
   std::unique_ptr<BackendPool> pool_;
-
-  util::Listener tcp_listener_;
-  util::Listener unix_listener_;
-  int resolved_port_ = -1;
-
-  std::vector<std::thread> accept_threads_;
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> stop_requested_{false};
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
   bool started_ = false;
   bool stopped_ = false;
+  /// Declared last so it is destroyed first: connection threads call into
+  /// the members above.
+  serve::FrameHost host_;
 };
 
 }  // namespace atlas::router

@@ -8,18 +8,25 @@
 namespace atlas::serve {
 namespace {
 
-/// Decide the trace context a client call should attach: an explicit
-/// caller-supplied context wins, else the thread's ambient one, else —
-/// only when tracing is on — a fresh sampled root. Returns nullopt when
-/// the request should travel context-free (the v1-identical path).
-std::optional<obs::TraceContext> originate_context(
-    const obs::TraceContext& explicit_ctx) {
-  if (explicit_ctx.valid()) return explicit_ctx;
-  const obs::TraceContext ambient = obs::current_trace_context();
-  if (ambient.valid()) return ambient;
-  if (obs::trace_enabled()) return obs::make_root_context(/*sampled=*/true);
-  return std::nullopt;
-}
+/// The trace scope and "client" span a predict or stream call runs under.
+/// The context is the caller's explicit one, else the thread's ambient one,
+/// else — only when tracing is on — a fresh sampled root. Without any, both
+/// stay empty and the request travels context-free (the v1-identical path).
+struct CallTrace {
+  std::optional<obs::TraceContextScope> scope;
+  std::optional<obs::ObsSpan> span;
+
+  CallTrace(const obs::TraceContext& explicit_ctx, const char* name) {
+    obs::TraceContext ctx = explicit_ctx;
+    if (!ctx.valid()) ctx = obs::current_trace_context();
+    if (!ctx.valid() && obs::trace_enabled()) {
+      ctx = obs::make_root_context(/*sampled=*/true);
+    }
+    if (!ctx.valid()) return;
+    scope.emplace(ctx);
+    span.emplace("client", name);
+  }
+};
 
 }  // namespace
 
@@ -42,11 +49,17 @@ void Client::set_io_timeout_ms(int timeout_ms) {
 }
 
 Frame Client::round_trip(MsgType type, const std::string& payload,
-                         MsgType expected) {
+                         MsgType expected, LoadReport* load_out) {
   write_frame(sock_, type, payload);
   Frame resp;
   if (!read_frame(sock_, resp)) {
     throw ProtocolError("server closed the connection");
+  }
+  if (load_out != nullptr) {
+    // The load tail rides error replies too (a shed answers kOverloaded
+    // plus the tail), so it is stripped before anything is decoded.
+    *load_out = LoadReport{};
+    strip_load_ext(resp.payload, *load_out);
   }
   if (resp.type == MsgType::kError) {
     const ErrorResponse err = ErrorResponse::decode(resp.payload);
@@ -70,58 +83,21 @@ HealthResponse Client::health() {
   return HealthResponse::decode(resp.payload);
 }
 
-PredictResponse Client::predict(const PredictRequest& request) {
-  const std::optional<obs::TraceContext> ctx =
-      originate_context(request.ext.trace);
-  if (!ctx) {
-    const Frame resp =
-        round_trip(MsgType::kPredict, request.encode(), MsgType::kPredictOk);
-    return PredictResponse::decode(resp.payload);
-  }
-  // Traced path: run the round trip under a client span and send that
-  // span as the server side's parent. The request copy only happens here,
-  // so the untraced path stays allocation-identical to v1.
-  obs::TraceContextScope scope(*ctx);
-  obs::ObsSpan span("client", "predict");
-  PredictRequest req = request;
-  req.ext.trace = span.context();
-  const Frame resp =
-      round_trip(MsgType::kPredict, req.encode(), MsgType::kPredictOk);
-  return PredictResponse::decode(resp.payload);
-}
-
 PredictResponse Client::predict(const PredictRequest& request,
                                 LoadReport* load_out) {
-  PredictRequest req = request;
-  req.ext.want_queue_depth = true;
-  const std::optional<obs::TraceContext> ctx =
-      originate_context(req.ext.trace);
-  std::optional<obs::TraceContextScope> scope;
-  std::optional<obs::ObsSpan> span;
-  if (ctx) {
-    scope.emplace(*ctx);
-    span.emplace("client", "predict");
-    req.ext.trace = span->context();
+  const CallTrace trace(request.ext.trace, "predict");
+  // Copy the request only to change it: the plain untraced path sends the
+  // caller's object as is (it carries the netlist text).
+  std::optional<PredictRequest> changed;
+  if (trace.span || load_out != nullptr) {
+    changed = request;
+    // The client span is the server side's parent.
+    if (trace.span) changed->ext.trace = trace.span->context();
+    if (load_out != nullptr) changed->ext.want_queue_depth = true;
   }
-  // Hand-rolled round trip instead of round_trip(): the load tail rides
-  // error replies too (a shed answers kOverloaded + tail), so it must be
-  // stripped before the payload is decoded either way.
-  write_frame(sock_, MsgType::kPredict, req.encode());
-  Frame resp;
-  if (!read_frame(sock_, resp)) {
-    throw ProtocolError("server closed the connection");
-  }
-  LoadReport report;
-  strip_load_ext(resp.payload, report);
-  if (load_out != nullptr) *load_out = report;
-  if (resp.type == MsgType::kError) {
-    const ErrorResponse err = ErrorResponse::decode(resp.payload);
-    throw ServeError(err.code, err.message);
-  }
-  if (resp.type != MsgType::kPredictOk) {
-    throw ProtocolError("unexpected response type " +
-                        std::to_string(static_cast<std::uint32_t>(resp.type)));
-  }
+  const Frame resp = round_trip(MsgType::kPredict,
+                                (changed ? *changed : request).encode(),
+                                MsgType::kPredictOk, load_out);
   return PredictResponse::decode(resp.payload);
 }
 
@@ -130,15 +106,8 @@ PredictResponse Client::predict_stream(StreamBeginRequest begin,
                                        std::size_t chunk_bytes) {
   if (chunk_bytes == 0) chunk_bytes = 64 * 1024;
   begin.trace_bytes = trace_bytes.size();
-  const std::optional<obs::TraceContext> ctx =
-      originate_context(begin.ext.trace);
-  std::optional<obs::TraceContextScope> scope;
-  std::optional<obs::ObsSpan> span;
-  if (ctx) {
-    scope.emplace(*ctx);
-    span.emplace("client", "stream");
-    begin.ext.trace = span->context();
-  }
+  const CallTrace trace(begin.ext.trace, "stream");
+  if (trace.span) begin.ext.trace = trace.span->context();
   round_trip(MsgType::kStreamBegin, begin.encode(), MsgType::kStreamAck);
   std::uint64_t seq = 0;
   for (std::size_t off = 0; off < trace_bytes.size(); off += chunk_bytes) {

@@ -40,6 +40,9 @@ struct ClientOptions {
 
 class Client {
  public:
+  /// Wrap an already-connected socket.
+  explicit Client(util::Socket sock) : sock_(std::move(sock)) {}
+
   static Client connect_tcp(const std::string& host, int port,
                             const ClientOptions& options = {});
   static Client connect_unix(const std::string& path,
@@ -63,17 +66,17 @@ class Client {
   /// call runs under a "client" span whose id becomes the server side's
   /// parent. With tracing off and no ambient context, the request encodes
   /// byte-identically to protocol v1.
-  PredictResponse predict(const PredictRequest& request);
-
-  /// predict() that also asks the server to piggyback its load (queued +
-  /// in-flight jobs and whether its time is wait-dominated) on the reply —
-  /// the same LoadReport tail the routing tier uses to keep queue depths
-  /// request-fresh. The tail is stripped before decoding (and before a
-  /// ServeError is thrown — shed replies carry one too), so the decoded
-  /// response is identical to plain predict(). An ops/debug aid
+  ///
+  /// With `load_out`, the request also asks the server to piggyback its
+  /// load (queued + in-flight jobs and whether its time is wait-dominated)
+  /// on the reply — the LoadReport tail the routing tier uses to keep
+  /// queue depths request-fresh. The tail is stripped before decoding (and
+  /// before a ServeError is thrown — shed replies carry one too), so the
+  /// decoded response is identical to a plain predict. An ops/debug aid
   /// (`atlas_client predict --show-load`); old servers ignore the flag and
   /// `load_out` reports zeros.
-  PredictResponse predict(const PredictRequest& request, LoadReport* load_out);
+  PredictResponse predict(const PredictRequest& request,
+                          LoadReport* load_out = nullptr);
 
   /// Upload a client-supplied toggle trace in chunks and get the prediction
   /// for it: stream_begin / stream_chunk* / stream_end. `trace_bytes` is
@@ -128,11 +131,11 @@ class Client {
   void shutdown_server();
 
  private:
-  explicit Client(util::Socket sock) : sock_(std::move(sock)) {}
-
   /// Send `type`+payload, read one response frame, unwrap Error replies.
-  Frame round_trip(MsgType type, const std::string& payload,
-                   MsgType expected);
+  /// With `load_out`, a LoadReport tail is first stripped into it (zeros
+  /// when the reply carries none).
+  Frame round_trip(MsgType type, const std::string& payload, MsgType expected,
+                   LoadReport* load_out = nullptr);
 
   util::Socket sock_;
 };

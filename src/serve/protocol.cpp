@@ -335,15 +335,6 @@ PredictResponse PredictResponse::decode(const std::string& payload) {
         r.timing.serialize_us = read_u64(is);
         r.timing.total_us = read_u64(is);
         r.has_timing = true;
-      } else if (version == kTraceExtVersion) {
-        // v2 tail from an older server: no batch_wait split yet.
-        r.timing.queue_us = read_u64(is);
-        r.timing.cache_us = read_u64(is);
-        r.timing.encode_us = read_u64(is);
-        r.timing.predict_us = read_u64(is);
-        r.timing.serialize_us = read_u64(is);
-        r.timing.total_us = read_u64(is);
-        r.has_timing = true;
       }
     }
     return r;
@@ -452,6 +443,13 @@ ErrorResponse ErrorResponse::decode(const std::string& payload) {
   });
 }
 
+Reply error_reply(ErrorCode code, const std::string& message) {
+  ErrorResponse err;
+  err.code = code;
+  err.message = message;
+  return {MsgType::kError, err.encode()};
+}
+
 std::string encode_string_payload(const std::string& s) {
   return encode_payload([&s](std::ostream& os) { write_string(os, s); });
 }
@@ -459,6 +457,15 @@ std::string encode_string_payload(const std::string& s) {
 std::string decode_string_payload(const std::string& payload) {
   return decode_payload<std::string>(
       payload, [](std::istream& is) { return read_string(is); });
+}
+
+std::string optional_string_payload(const std::string& payload) {
+  if (payload.empty()) return {};
+  try {
+    return decode_string_payload(payload);
+  } catch (const ProtocolError&) {
+    return {};
+  }
 }
 
 }  // namespace atlas::serve

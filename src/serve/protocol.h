@@ -58,6 +58,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -152,6 +153,9 @@ struct Frame {
   MsgType type = MsgType::kPing;
   std::string payload;
 };
+
+/// One reply frame: its type and encoded payload.
+using Reply = std::pair<MsgType, std::string>;
 
 /// Serialize a frame (header + payload) into wire bytes.
 std::string encode_frame(MsgType type, const std::string& payload);
@@ -312,9 +316,8 @@ struct ServerTiming {
   std::uint64_t total_us = 0;       // enqueue -> response encoded
 };
 
-/// Version tag of the PredictOk timing tail. v3 added batch_wait_us; the
-/// decoder still accepts v2 tails (six fields, batch_wait_us reads as 0)
-/// from older servers, and pre-v3 clients simply ignore a v3 tail.
+/// Version tag of the PredictOk timing tail (seven fields, batch_wait_us
+/// first). A tail with any other version decodes as "no timing".
 inline constexpr std::uint32_t kTimingTailVersion = 3;
 
 struct PredictResponse {
@@ -427,8 +430,17 @@ struct ErrorResponse {
   static ErrorResponse decode(const std::string& payload);
 };
 
+/// An Error reply carrying `code` and `message`.
+Reply error_reply(ErrorCode code, const std::string& message);
+
 /// StatsText and Pong/ShutdownOk payloads are a bare string / empty.
 std::string encode_string_payload(const std::string& s);
 std::string decode_string_payload(const std::string& payload);
+
+/// Decode an optional selector payload ("json", "fleet", ...). Old clients
+/// send an empty payload on these request types; an undecodable one is
+/// treated the same way, so the request falls back to its default
+/// rendering.
+std::string optional_string_payload(const std::string& payload);
 
 }  // namespace atlas::serve

@@ -27,14 +27,6 @@ std::uint64_t elapsed_us(Clock::time_point since) {
           .count());
 }
 
-std::pair<MsgType, std::string> error_reply(ErrorCode code,
-                                            const std::string& message) {
-  ErrorResponse err;
-  err.code = code;
-  err.message = message;
-  return {MsgType::kError, err.encode()};
-}
-
 /// Largest cycle count a single request may ask the server to simulate.
 constexpr std::int32_t kMaxRequestCycles = 1 << 20;
 
@@ -61,19 +53,6 @@ obs::Counter& shed_counter() {
   return c;
 }
 
-/// Decode an optional bare-string request payload ("json", "fleet", ...).
-/// Old clients send an empty payload on these request types; anything
-/// undecodable is treated the same way rather than rejected, so the
-/// request degrades to its default rendering.
-std::string optional_string_payload(const std::string& payload) {
-  if (payload.empty()) return {};
-  try {
-    return decode_string_payload(payload);
-  } catch (const ProtocolError&) {
-    return {};
-  }
-}
-
 }  // namespace
 
 Server::Server(ServerConfig config, std::shared_ptr<ModelRegistry> registry)
@@ -86,40 +65,23 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (started_) throw std::logic_error("Server::start called twice");
-  if (config_.port < 0 && config_.unix_path.empty()) {
-    throw util::SocketError("server has no endpoint (TCP and UDS disabled)");
-  }
-  if (config_.port >= 0) {
-    int port = config_.port;
-    tcp_listener_ = util::Listener::tcp(config_.host, port);
-    resolved_port_ = port;
-  }
-  if (!config_.unix_path.empty()) {
-    unix_listener_ = util::Listener::unix_domain(config_.unix_path);
-  }
+  host_.start(config_, [this]() -> FrameHost::Handler {
+    return [this, stream = StreamState{}](const Frame& frame) mutable {
+      return handle_frame(frame, stream);
+    };
+  });
   started_ = true;
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
-  if (tcp_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&tcp_listener_); });
-  }
-  if (unix_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&unix_listener_); });
-  }
   if (config_.verbose) {
     obs::LogLine line(obs::LogLevel::kInfo, "serve");
     line.kv("event", "listening");
-    // In UDS-only mode there is no TCP endpoint: resolved_port_ stays at
-    // its -1 sentinel, so the host/port kvs would only mislead an operator
-    // grepping the log for the listen address.
-    if (resolved_port_ >= 0) {
-      line.kv("host", config_.host).kv("port", resolved_port_);
-    }
-    if (!config_.unix_path.empty()) line.kv("uds", config_.unix_path);
+    host_.log_endpoints(line);
   }
 }
 
 void Server::stop() {
   if (!started_ || stopped_) return;
+  host_.stop_accepting();
   {
     // stopping_ is flipped under the queue mutex so the dispatcher cannot
     // exit between a connection's stopping_ check and its enqueue — every
@@ -128,46 +90,12 @@ void Server::stop() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
   if (dispatcher_.joinable()) dispatcher_.join();
   // All queued work is answered; unblock idle connection readers.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& c : conns_) c->sock.shutdown_read();
-  }
-  for (;;) {
-    std::unique_ptr<Connection> conn;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (conns_.empty()) break;
-      conn = std::move(conns_.back());
-      conns_.pop_back();
-    }
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-  tcp_listener_.close();
-  unix_listener_.close();
+  host_.close_connections();
   stopped_ = true;
   if (config_.verbose) {
     obs::LogLine(obs::LogLevel::kInfo, "serve").kv("event", "stopped");
-  }
-}
-
-void Server::wait_for_stop_request(const std::function<bool()>& poll) {
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  for (;;) {
-    if (stop_requested_.load()) return;
-    if (poll && poll()) return;
-    if (poll) {
-      // An async-signal handler cannot notify a condition variable, so the
-      // poll hook still needs a periodic check — but a client Shutdown
-      // request notifies stop_cv_ and is observed immediately, not after
-      // the poll period.
-      stop_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    } else {
-      stop_cv_.wait(lock);
-    }
   }
 }
 
@@ -188,7 +116,7 @@ HealthResponse Server::health_snapshot() const {
   h.cache_total_bytes = cache_.total_bytes();
   h.cache_embedding_bytes = cache_.embedding_bytes();
   h.queue_depth = queue_depth();
-  h.draining = stopping_.load() || stop_requested_.load();
+  h.draining = host_.stopping() || host_.stop_requested();
   return h;
 }
 
@@ -196,194 +124,87 @@ std::string Server::metrics_text() {
   return obs::Registry::global().render_prometheus();
 }
 
-void Server::accept_loop(util::Listener* listener) {
-  while (!stopping_.load()) {
-    std::optional<util::Socket> sock;
-    try {
-      sock = listener->accept(/*timeout_ms=*/100);
-    } catch (const util::SocketError&) {
-      // Listener failure (fd limit, ...): back off rather than spin.
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      continue;
+Reply Server::handle_frame(const Frame& frame, StreamState& stream) {
+  const Clock::time_point received_at = Clock::now();
+  // Inline replies are accounted once built; the host writes them after.
+  const auto answer = [&](const char* endpoint, Reply reply) {
+    stats_.record(endpoint, elapsed_us(received_at),
+                  reply.first == MsgType::kError);
+    return reply;
+  };
+  switch (frame.type) {
+    case MsgType::kPing:
+      return answer("ping", {MsgType::kPong, encode_string_payload("pong")});
+    case MsgType::kListModels: {
+      ModelListResponse resp;
+      for (const ModelSummary& m : registry_->list()) {
+        resp.models.push_back({m.name, m.encoder_dim, m.library, m.generation,
+                               m.library_hash});
+      }
+      return answer("models", {MsgType::kModelList, resp.encode()});
     }
-    reap_finished_connections();
-    if (!sock) continue;
-    auto conn = std::make_unique<Connection>();
-    conn->sock = std::move(*sock);
-    Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(conn));
+    case MsgType::kHealth:
+      return answer("health",
+                    {MsgType::kHealthReport, health_snapshot().encode()});
+    case MsgType::kStats: {
+      const std::string text = optional_string_payload(frame.payload) == "json"
+                                   ? stats_.render_json(cache_.stats())
+                                   : stats_text();
+      return answer("stats",
+                    {MsgType::kStatsText, encode_string_payload(text)});
     }
-    raw->thread = std::thread([this, raw] { connection_loop(raw); });
-  }
-}
-
-void Server::reap_finished_connections() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = std::partition(conns_.begin(), conns_.end(),
-                             [](const auto& c) { return !c->done.load(); });
-    for (auto move_it = it; move_it != conns_.end(); ++move_it) {
-      finished.push_back(std::move(*move_it));
-    }
-    conns_.erase(it, conns_.end());
-  }
-  for (auto& c : finished) {
-    if (c->thread.joinable()) c->thread.join();
-  }
-}
-
-void Server::connection_loop(Connection* conn) {
-  util::Socket& sock = conn->sock;
-  StreamState stream;  // per-connection: dies with this loop if abandoned
-  try {
-    for (;;) {
-      Frame frame;
+    case MsgType::kMetrics:
+      return answer("metrics", {MsgType::kMetricsText,
+                                encode_string_payload(metrics_text())});
+    case MsgType::kShutdown:
+      // Flag before replying: once the client sees the ack, a
+      // stop_requested() poll must already observe it.
+      host_.request_stop();
+      return answer("shutdown",
+                    {MsgType::kShutdownOk, encode_string_payload("ok")});
+    case MsgType::kLoadModel:
+      return answer("admin", handle_load_model(frame.payload));
+    case MsgType::kUnloadModel:
+      return answer("admin", handle_unload_model(frame.payload));
+    case MsgType::kTraceDump:
+      // Draining the ring is destructive and its contents describe server
+      // internals, so it rides the same operator gate as the registry
+      // mutations.
+      if (!config_.allow_admin) {
+        return answer("admin", error_reply(ErrorCode::kAdminDisabled,
+                                           "trace_dump is disabled (start "
+                                           "the server with --allow-admin)"));
+      }
+      return answer("admin",
+                    {MsgType::kTraceJson,
+                     encode_string_payload(obs::Trace::drain_chrome_json())});
+    case MsgType::kPredict: {
+      auto job = std::make_shared<PendingJob>();
       try {
-        if (!read_frame(sock, frame, config_.max_frame_bytes)) break;
+        job->request = PredictRequest::decode(frame.payload);
       } catch (const ProtocolError& e) {
-        // Bad magic / hostile length / truncation: the byte stream cannot
-        // be resynchronized, so answer best-effort and drop the peer.
-        const auto [type, payload] =
-            error_reply(ErrorCode::kBadRequest, e.what());
-        try {
-          write_frame(sock, type, payload);
-        } catch (const util::SocketError&) {
-        }
-        break;
+        return answer("predict", error_reply(ErrorCode::kBadRequest, e.what()));
       }
-
-      const Clock::time_point received_at = Clock::now();
-      switch (frame.type) {
-        case MsgType::kPing:
-          write_frame(sock, MsgType::kPong, encode_string_payload("pong"));
-          stats_.record("ping", elapsed_us(received_at), false);
-          break;
-        case MsgType::kListModels: {
-          ModelListResponse resp;
-          for (const ModelSummary& m : registry_->list()) {
-            resp.models.push_back({m.name, m.encoder_dim, m.library,
-                                   m.generation, m.library_hash});
-          }
-          write_frame(sock, MsgType::kModelList, resp.encode());
-          stats_.record("models", elapsed_us(received_at), false);
-          break;
-        }
-        case MsgType::kHealth:
-          write_frame(sock, MsgType::kHealthReport,
-                      health_snapshot().encode());
-          stats_.record("health", elapsed_us(received_at), false);
-          break;
-        case MsgType::kStats: {
-          const std::string mode = optional_string_payload(frame.payload);
-          const std::string text = mode == "json"
-                                       ? stats_.render_json(cache_.stats())
-                                       : stats_text();
-          write_frame(sock, MsgType::kStatsText, encode_string_payload(text));
-          stats_.record("stats", elapsed_us(received_at), false);
-          break;
-        }
-        case MsgType::kMetrics:
-          write_frame(sock, MsgType::kMetricsText,
-                      encode_string_payload(metrics_text()));
-          stats_.record("metrics", elapsed_us(received_at), false);
-          break;
-        case MsgType::kShutdown:
-          // Flag before replying: once the client sees the ack, a
-          // stop_requested() poll must already observe it. The flag is set
-          // under stop_mu_ so a wait_for_stop_request between the store and
-          // the notify cannot sleep through the wakeup.
-          {
-            std::lock_guard<std::mutex> stop_lock(stop_mu_);
-            stop_requested_.store(true);
-          }
-          stop_cv_.notify_all();
-          write_frame(sock, MsgType::kShutdownOk, encode_string_payload("ok"));
-          stats_.record("shutdown", elapsed_us(received_at), false);
-          break;
-        case MsgType::kLoadModel: {
-          const auto [type, payload] = handle_load_model(frame.payload);
-          write_frame(sock, type, payload);
-          stats_.record("admin", elapsed_us(received_at),
-                        type == MsgType::kError);
-          break;
-        }
-        case MsgType::kUnloadModel: {
-          const auto [type, payload] = handle_unload_model(frame.payload);
-          write_frame(sock, type, payload);
-          stats_.record("admin", elapsed_us(received_at),
-                        type == MsgType::kError);
-          break;
-        }
-        case MsgType::kTraceDump: {
-          // Draining the ring is destructive and its contents describe
-          // server internals, so it rides the same operator gate as the
-          // registry mutations.
-          if (!config_.allow_admin) {
-            const auto [type, payload] = error_reply(
-                ErrorCode::kAdminDisabled,
-                "trace_dump is disabled (start the server with "
-                "--allow-admin)");
-            write_frame(sock, type, payload);
-            stats_.record("admin", elapsed_us(received_at), true);
-          } else {
-            write_frame(sock, MsgType::kTraceJson,
-                        encode_string_payload(obs::Trace::drain_chrome_json()));
-            stats_.record("admin", elapsed_us(received_at), false);
-          }
-          break;
-        }
-        case MsgType::kPredict: {
-          auto job = std::make_shared<PendingJob>();
-          try {
-            job->request = PredictRequest::decode(frame.payload);
-          } catch (const ProtocolError& e) {
-            const auto [type, payload] =
-                error_reply(ErrorCode::kBadRequest, e.what());
-            write_frame(sock, type, payload);
-            stats_.record("predict", elapsed_us(received_at), true);
-            break;
-          }
-          job->enqueued_at = received_at;
-          // Admission control runs before the queue: a shed request costs
-          // one cache peek, not a dispatcher slot (see maybe_shed_predict).
-          if (auto shed = maybe_shed_predict(job->request)) {
-            write_frame(sock, shed->first, shed->second);
-            stats_.record("predict", elapsed_us(received_at), true);
-            break;
-          }
-          auto [type, payload] = submit_and_wait(job);
-          maybe_append_load_ext(job->request.ext, payload, &job->timing);
-          write_frame(sock, type, payload);
-          break;
-        }
-        case MsgType::kStreamBegin:
-        case MsgType::kStreamChunk:
-        case MsgType::kStreamEnd: {
-          const auto [type, payload] = handle_stream_frame(frame, stream);
-          write_frame(sock, type, payload);
-          break;
-        }
-        default: {
-          const auto [type, payload] = error_reply(
-              ErrorCode::kBadRequest,
-              "unknown message type " +
-                  std::to_string(static_cast<std::uint32_t>(frame.type)));
-          write_frame(sock, type, payload);
-          break;
-        }
+      job->enqueued_at = received_at;
+      // Admission control runs before the queue: a shed request costs one
+      // cache peek, not a dispatcher slot (see maybe_shed_predict).
+      if (auto shed = maybe_shed_predict(job->request)) {
+        return answer("predict", std::move(*shed));
       }
+      Reply reply = submit_and_wait(job);
+      maybe_append_load_ext(job->request.ext, reply.second, &job->timing);
+      return reply;
     }
-  } catch (const std::exception&) {
-    // Peer vanished mid-write or similar: drop this connection only.
+    case MsgType::kStreamBegin:
+    case MsgType::kStreamChunk:
+    case MsgType::kStreamEnd:
+      return handle_stream_frame(frame, stream);
+    default:
+      return error_reply(
+          ErrorCode::kBadRequest,
+          "unknown message type " +
+              std::to_string(static_cast<std::uint32_t>(frame.type)));
   }
-  // Signal EOF to the peer but leave the fd to the owning Connection's
-  // destructor (after join) — closing here would race stop()'s
-  // shutdown_read() on a possibly recycled descriptor.
-  sock.shutdown_both();
-  conn->done.store(true);
 }
 
 void Server::dispatcher_loop() {
@@ -535,7 +356,7 @@ void Server::complete_fused_job(PendingJob& job, PredictPrep& prep) noexcept {
   // exceptions, and never let stats accounting stand between an exception
   // and set_value.
   bool is_error = true;
-  std::pair<MsgType, std::string> reply;
+  Reply reply;
   try {
     obs::TraceContextScope scope(prep.ctx);
     if (prep.reply) {
@@ -577,8 +398,7 @@ void Server::complete_fused_job(PendingJob& job, PredictPrep& prep) noexcept {
   job.result.set_value(std::move(reply));
 }
 
-std::pair<MsgType, std::string> Server::submit_and_wait(
-    const std::shared_ptr<PendingJob>& job) {
+Reply Server::submit_and_wait(const std::shared_ptr<PendingJob>& job) {
   auto future = job->result.get_future();
   bool rejected = false;
   {
@@ -627,7 +447,7 @@ bool Server::predict_is_warm(const PredictRequest& req) const {
   return cache_.peek_embeddings(design_key, emb_key);
 }
 
-std::optional<std::pair<MsgType, std::string>> Server::maybe_shed_predict(
+std::optional<Reply> Server::maybe_shed_predict(
     const PredictRequest& req) {
   if (config_.shed_queue_depth == 0) return std::nullopt;
   const std::size_t load = inflight_.load(std::memory_order_relaxed);
@@ -666,8 +486,7 @@ void Server::maybe_append_load_ext(const RequestTraceExt& ext,
   append_load_ext(payload, report);
 }
 
-std::pair<MsgType, std::string> Server::handle_stream_frame(
-    const Frame& frame, StreamState& stream) {
+Reply Server::handle_stream_frame(const Frame& frame, StreamState& stream) {
   const Clock::time_point received_at = Clock::now();
   // Any assembly-stage failure answers an error, resets the stream state
   // (the partial upload is discarded) and is counted against the `stream`
@@ -852,8 +671,7 @@ std::pair<MsgType, std::string> Server::handle_stream_frame(
   }
 }
 
-std::pair<MsgType, std::string> Server::handle_load_model(
-    const std::string& payload) {
+Reply Server::handle_load_model(const std::string& payload) {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "model administration is disabled "
@@ -889,8 +707,7 @@ std::pair<MsgType, std::string> Server::handle_load_model(
   return {MsgType::kAdminOk, encode_string_payload("loaded " + req.name)};
 }
 
-std::pair<MsgType, std::string> Server::handle_unload_model(
-    const std::string& payload) {
+Reply Server::handle_unload_model(const std::string& payload) {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "model administration is disabled "
@@ -1123,8 +940,7 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   job.timing.encode_us += elapsed_us(phase_start);
 }
 
-std::pair<MsgType, std::string> Server::finish_predict(PendingJob& job,
-                                                       PredictPrep& prep) {
+Reply Server::finish_predict(PendingJob& job, PredictPrep& prep) {
   const PredictRequest& req = job.request;
   Clock::time_point phase_start = Clock::now();
   // Head scratch (feature-row blocks, per-row outputs) comes from a

@@ -1,11 +1,11 @@
-// The atlas_serve daemon core: accept loops, per-connection framing, and a
+// The atlas_serve daemon core: per-connection request handling and a
 // batching dispatcher that runs predict handlers on the global thread pool.
 //
 // Threading model:
 //
-//   * one accept thread per listener (TCP and/or Unix-domain), polling with
-//     a short timeout so a stop flag is observed without fd teardown races;
-//   * one thread per live connection, reading frames and answering cheap
+//   * listeners, accept threads and one thread per live connection come
+//     from serve::FrameHost (frame_host.h), shared with atlas_router; each
+//     connection's handler owns its stream assembly state and answers cheap
 //     requests (ping/models/stats, and the admin load/unload registry
 //     mutations) inline; predict requests are enqueued to
 //     the dispatcher and the connection thread blocks on the response — so
@@ -37,7 +37,8 @@
 // model/workload, or handler exception turns into an Error response (or at
 // worst a closed connection) and never unwinds the daemon. Shutdown —
 // stop(), a client Shutdown request, or SIGTERM in the daemon binary —
-// stops accepting, drains every queued request, answers it, then closes.
+// stops accepting (the host's first stop step), drains every queued
+// request and answers it, then closes the connections (the second).
 #pragma once
 
 #include <atomic>
@@ -55,25 +56,17 @@
 
 #include "liberty/library.h"
 #include "serve/feature_cache.h"
+#include "serve/frame_host.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/stats.h"
 #include "sim/external_trace.h"
 #include "sim/simulator.h"
 #include "util/arena.h"
-#include "util/socket.h"
 
 namespace atlas::serve {
 
-struct ServerConfig {
-  /// TCP endpoint; port 0 binds an ephemeral port (see Server::port()),
-  /// port < 0 disables TCP.
-  std::string host = "127.0.0.1";
-  int port = 0;
-  /// Unix-domain socket path; empty disables.
-  std::string unix_path;
-
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
+struct ServerConfig : ListenConfig {
   std::size_t cache_designs = 16;
   std::size_t cache_embeddings_per_design = 8;
   /// Byte budget for the feature cache (designs + embeddings, approximate;
@@ -116,7 +109,6 @@ struct ServerConfig {
   /// (every slow request still counts in atlas_serve_slow_requests_total).
   /// 0 disables the log (the counter stays off too).
   int slow_ms = 0;
-  bool verbose = false;
 };
 
 class Server {
@@ -139,17 +131,16 @@ class Server {
 
   /// True once a client Shutdown request was accepted (the daemon's main
   /// loop turns this into stop()).
-  bool stop_requested() const { return stop_requested_.load(); }
+  bool stop_requested() const { return host_.stop_requested(); }
 
-  /// Block until stop_requested(). A client Shutdown request notifies the
-  /// internal condition variable, so wakeup latency is bounded by the
-  /// notification, not a poll period. `poll` lets the daemon also watch an
-  /// async-signal flag (which cannot notify); it is checked every ~50ms.
-  void wait_for_stop_request(const std::function<bool()>& poll = {});
+  /// Block until stop_requested() (see FrameHost::wait_for_stop_request).
+  void wait_for_stop_request(const std::function<bool()>& poll = {}) {
+    host_.wait_for_stop_request(poll);
+  }
 
   /// Resolved TCP port after an ephemeral bind. Sentinel -1 = TCP is
   /// disabled (UDS-only server); never a valid port value.
-  int port() const { return resolved_port_; }
+  int port() const { return host_.port(); }
 
   const ServerConfig& config() const { return config_; }
   const ModelRegistry& registry() const { return *registry_; }
@@ -196,15 +187,10 @@ class Server {
     /// assembly). Consumed by the slow-request log and, when the request
     /// asked (ext.want_timing), echoed on the response tail.
     ServerTiming timing;
-    std::promise<std::pair<MsgType, std::string>> result;
+    std::promise<Reply> result;
   };
-  struct Connection {
-    util::Socket sock;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  /// Per-connection streamed-upload assembly state (lives on the
-  /// connection thread's stack; an abandoned stream dies with it).
+  /// Per-connection streamed-upload assembly state (owned by the
+  /// connection's handler; an abandoned stream dies with it).
   struct StreamState {
     bool active = false;
     StreamBeginRequest begin;
@@ -246,12 +232,12 @@ class Server {
     obs::TraceContext ctx;
     /// Early terminal reply (validation error, deadline, cache race loss
     /// that cannot recover). When set, the job skips encode and finish.
-    std::optional<std::pair<MsgType, std::string>> reply;
+    std::optional<Reply> reply;
   };
 
-  void accept_loop(util::Listener* listener);
-  void connection_loop(Connection* conn);
-  void reap_finished_connections();
+  /// The per-connection handler: answers one request frame. Control-plane
+  /// requests are answered inline, predicts go through the dispatcher.
+  Reply handle_frame(const Frame& frame, StreamState& stream);
 
   void dispatcher_loop();
   /// Fused execution of one dispatcher batch: phase A fans per-job prework
@@ -271,12 +257,10 @@ class Server {
 
   /// Enqueue a job for the dispatcher and block on its reply; returns the
   /// shutting-down error instead when the server is draining.
-  std::pair<MsgType, std::string> submit_and_wait(
-      const std::shared_ptr<PendingJob>& job);
+  Reply submit_and_wait(const std::shared_ptr<PendingJob>& job);
 
   /// Handle one Stream* frame against `stream`; returns the reply frame.
-  std::pair<MsgType, std::string> handle_stream_frame(const Frame& frame,
-                                                      StreamState& stream);
+  Reply handle_stream_frame(const Frame& frame, StreamState& stream);
 
   /// Admission check for the shed watermark: true when the request would be
   /// answered from the caches (design AND embeddings present — const peeks,
@@ -286,8 +270,7 @@ class Server {
   /// Shed decision for one decoded predict request. Returns the kOverloaded
   /// error reply when the server is past config_.shed_queue_depth and the
   /// request is cold; nullopt admits it.
-  std::optional<std::pair<MsgType, std::string>> maybe_shed_predict(
-      const PredictRequest& req);
+  std::optional<Reply> maybe_shed_predict(const PredictRequest& req);
   /// Append the LoadReport piggyback tail to `payload` when the request
   /// asked for it (ext.want_queue_depth). `timing` drives the
   /// wait-dominated flag; pass the job's filled timing, or nullptr for
@@ -314,8 +297,7 @@ class Server {
   /// Second half: GBDT heads over the embeddings (arena-backed scratch
   /// from arena_pool_), response assembly, serialization and the timing
   /// tail. Requires prep.emb to be populated.
-  std::pair<MsgType, std::string> finish_predict(PendingJob& job,
-                                                 PredictPrep& prep);
+  Reply finish_predict(PendingJob& job, PredictPrep& prep);
 
   /// Emit the slow-request log line / counter for a finished job if it
   /// crossed config_.slow_ms.
@@ -323,9 +305,8 @@ class Server {
 
   /// LoadModel / UnloadModel handlers (connection-thread inline; gated by
   /// config_.allow_admin). Never throw; failures become Error replies.
-  std::pair<MsgType, std::string> handle_load_model(const std::string& payload);
-  std::pair<MsgType, std::string> handle_unload_model(
-      const std::string& payload);
+  Reply handle_load_model(const std::string& payload);
+  Reply handle_unload_model(const std::string& payload);
 
   ServerConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
@@ -336,15 +317,7 @@ class Server {
   /// so steady-state serving does no scratch mallocs.
   util::ArenaPool arena_pool_;
 
-  util::Listener tcp_listener_;
-  util::Listener unix_listener_;
-  int resolved_port_ = -1;
-
-  std::vector<std::thread> accept_threads_;
   std::thread dispatcher_;
-
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -356,13 +329,14 @@ class Server {
   /// CAS-guarded so concurrent slow requests emit at most ~1 line/second.
   std::atomic<std::uint64_t> last_slow_log_us_{0};
 
+  /// The dispatcher's drain flag; flipped by stop() between the host's
+  /// two stop steps.
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> stop_requested_{false};
-  /// Wakes wait_for_stop_request the moment a Shutdown request lands.
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
   bool started_ = false;
   bool stopped_ = false;
+  /// Declared last so it is destroyed first: connection threads call into
+  /// every member above.
+  FrameHost host_;
 };
 
 }  // namespace atlas::serve

@@ -960,6 +960,57 @@ TEST_F(RouterTest, FleetMetricsSelectorAggregatesAllShardsWithLabels) {
   EXPECT_EQ(count("# TYPE atlas_serve_request_latency_us histogram"), 1u);
 }
 
+TEST_F(RouterTest, UnixDomainBackendServesBitIdentically) {
+  // One shard on TCP, one on a Unix-domain socket: the prober, the data
+  // path and the fan-outs all dial the UDS shard.
+  serve::ServerConfig ucfg;
+  ucfg.port = -1;
+  ucfg.unix_path = ::testing::TempDir() + "/atlas_router_test_backend.sock";
+  serve::Server uds(ucfg, make_registry());
+  uds.start();
+  std::unique_ptr<serve::Server> tcp = start_backend(/*allow_admin=*/false);
+  const std::string tcp_id = "127.0.0.1:" + std::to_string(tcp->port());
+  const std::string uds_id = "unix:" + ucfg.unix_path;
+
+  RouterConfig cfg;
+  cfg.host = "127.0.0.1";
+  cfg.port = 0;
+  cfg.probe.interval_ms = 100;
+  Router router(cfg, parse_backend_list(tcp_id + "," + uds_id));
+  router.start();
+  ASSERT_EQ(router.pool().ring_size(), 2u);
+
+  // One design owned by each shard, found on the router's own ring.
+  HashRing ring(ProbeConfig{}.vnodes);
+  ring.add(tcp_id);
+  ring.add(uds_id);
+  std::map<std::string, std::string> design_for;
+  for (int i = 0; design_for.size() < 2; ++i) {
+    const std::string v = design_variant(500 + i);
+    design_for.emplace(
+        ring.lookup(util::hash_mix(util::fnv1a64(v),
+                                   liberty::content_hash(*lib_))),
+        v);
+  }
+
+  Client client = Client::connect_tcp("127.0.0.1", router.port());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [owner, verilog] : design_for) {
+      const PredictResponse resp = client.predict(make_request(verilog));
+      EXPECT_EQ(resp.design_cache_hit(), pass == 1) << owner;
+      expect_matches(resp, *expected_w1_);
+    }
+  }
+  EXPECT_EQ(uds.health_snapshot().cache_designs, 1u);
+  EXPECT_EQ(tcp->health_snapshot().cache_designs, 1u);
+  EXPECT_NE(client.metrics_text(/*fleet=*/true).find("shard=\"" + uds_id + "\""),
+            std::string::npos);
+
+  router.stop();
+  tcp->stop();
+  uds.stop();
+}
+
 TEST_F(RouterTest, TraceDumpFansOutAndIsAdminGated) {
   {
     Fleet fleet = start_fleet(/*allow_admin=*/false);

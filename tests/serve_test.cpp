@@ -15,6 +15,8 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/socket.h>
+
 #include "atlas/finetune.h"
 #include "atlas/model.h"
 #include "atlas/preprocess.h"
@@ -28,6 +30,7 @@
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/feature_cache.h"
+#include "serve/frame_host.h"
 #include "serve/server.h"
 #include "serve/stats.h"
 #include "sim/delta_trace.h"
@@ -1744,19 +1747,14 @@ TEST_F(ServeTest, ServerTimingTailRoundTrip) {
   // And a tail-less response decodes with has_timing false.
   EXPECT_FALSE(PredictResponse::decode(base.encode()).has_timing);
 
-  // Back compat: a v2 tail from an older server (no batch_wait field)
-  // still decodes; the missing phase reads as zero.
-  std::ostringstream v2(std::ios::binary);
-  util::write_u32(v2, kTraceExtVersion);
-  for (const std::uint64_t v : {11ull, 22ull, 33ull, 44ull, 55ull, 200ull}) {
-    util::write_u64(v2, v);
-  }
-  const PredictResponse old =
-      PredictResponse::decode(base.encode() + std::move(v2).str());
-  ASSERT_TRUE(old.has_timing);
-  EXPECT_EQ(old.timing.batch_wait_us, 0u);
-  EXPECT_EQ(old.timing.queue_us, 11u);
-  EXPECT_EQ(old.timing.total_us, 200u);
+  // A tail with any other version decodes as "no timing".
+  std::ostringstream other(std::ios::binary);
+  util::write_u32(other, kTimingTailVersion + 1);
+  for (int i = 0; i < 7; ++i) util::write_u64(other, 1);
+  const PredictResponse unknown =
+      PredictResponse::decode(base.encode() + std::move(other).str());
+  EXPECT_FALSE(unknown.has_timing);
+  EXPECT_EQ(unknown.design.size(), 1u);
 }
 
 TEST_F(ServeTest, PredictUnderTracingLinksClientAndServerSpans) {
@@ -2193,6 +2191,159 @@ TEST_F(ServeTest, ColdPredictsShedPastTheWatermarkWarmAlwaysAdmitted) {
   ASSERT_TRUE(wait_for([&] { return server.inflight_jobs() == 0; }));
   expect_matches_direct(cold_client.predict(cold), *expected_w1_);
   server.stop();
+}
+
+// --- FrameHost: the connection lifecycle atlas_serve and atlas_router share.
+
+/// A loopback host whose handlers answer every frame with a Pong carrying a
+/// per-connection frame count, so tests can see which state answered.
+struct CountingHost {
+  FrameHost host;
+  std::atomic<int> handlers_made{0};
+  std::atomic<int> frames_handled{0};
+
+  explicit CountingHost(ListenConfig cfg = {}) {
+    host.start(cfg, [this]() -> FrameHost::Handler {
+      ++handlers_made;
+      return [this, count = 0](const Frame&) mutable {
+        ++frames_handled;
+        return Reply{MsgType::kPong, encode_string_payload(std::to_string(++count))};
+      };
+    });
+  }
+
+  util::Socket connect() const { return util::connect_tcp("127.0.0.1", host.port()); }
+};
+
+std::string ping(util::Socket& sock) {
+  write_frame(sock, MsgType::kPing, "");
+  Frame resp;
+  EXPECT_TRUE(read_frame(sock, resp));
+  EXPECT_EQ(resp.type, MsgType::kPong);
+  return decode_string_payload(resp.payload);
+}
+
+/// The peer answered one kBadRequest frame and then closed the connection.
+void expect_bad_request_then_eof(util::Socket& sock) {
+  Frame resp;
+  ASSERT_TRUE(read_frame(sock, resp));
+  ASSERT_EQ(resp.type, MsgType::kError);
+  EXPECT_EQ(ErrorResponse::decode(resp.payload).code, ErrorCode::kBadRequest);
+  EXPECT_FALSE(read_frame(sock, resp));
+}
+
+std::string frame_header(MsgType type, std::uint64_t len) {
+  std::string header(16, '\0');
+  const auto t = static_cast<std::uint32_t>(type);
+  std::memcpy(header.data(), kFrameMagic, 4);
+  std::memcpy(header.data() + 4, &t, 4);
+  std::memcpy(header.data() + 8, &len, 8);
+  return header;
+}
+
+TEST(FrameHost, UnreadableFramesGetBadRequestAndADisconnectNeverTheHandler) {
+  CountingHost h;
+  {
+    util::Socket sock = h.connect();
+    const std::string junk = "XXXXYYYYZZZZ0123";  // bad magic
+    sock.send_all(junk.data(), junk.size());
+    expect_bad_request_then_eof(sock);
+  }
+  {
+    util::Socket sock = h.connect();
+    const std::string header = frame_header(MsgType::kPredict, 1ULL << 60);
+    sock.send_all(header.data(), header.size());
+    expect_bad_request_then_eof(sock);
+  }
+  {
+    // Declares 100 payload bytes, then half-closes: a truncated frame.
+    util::Socket sock = h.connect();
+    const std::string header = frame_header(MsgType::kPredict, 100);
+    sock.send_all(header.data(), header.size());
+    ::shutdown(sock.fd(), SHUT_WR);
+    expect_bad_request_then_eof(sock);
+  }
+  {
+    // Closed partway into the payload: the read fails as a socket error,
+    // and the connection is dropped without a reply.
+    util::Socket sock = h.connect();
+    const std::string frame = frame_header(MsgType::kPredict, 100) + "abc";
+    sock.send_all(frame.data(), frame.size());
+    ::shutdown(sock.fd(), SHUT_WR);
+    Frame resp;
+    EXPECT_FALSE(read_frame(sock, resp));
+  }
+  h.host.stop_accepting();
+  h.host.close_connections();
+  EXPECT_EQ(h.frames_handled.load(), 0);
+}
+
+TEST(FrameHost, EachConnectionOwnsItsHandlerState) {
+  CountingHost h;
+  util::Socket a = h.connect();
+  util::Socket b = h.connect();
+  EXPECT_EQ(ping(a), "1");
+  EXPECT_EQ(ping(b), "1");
+  EXPECT_EQ(ping(a), "2");
+  EXPECT_EQ(ping(a), "3");
+  EXPECT_EQ(ping(b), "2");
+  EXPECT_EQ(h.handlers_made.load(), 2);
+}
+
+TEST(FrameHost, RequestStopWakesTheWaiterPromptly) {
+  CountingHost h;
+  std::atomic<bool> woke{false};
+  std::thread waiter([&] {
+    h.host.wait_for_stop_request();
+    woke.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(woke.load());
+  EXPECT_FALSE(h.host.stop_requested());
+  const auto t0 = std::chrono::steady_clock::now();
+  h.host.request_stop();
+  waiter.join();
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count(),
+            25);
+  EXPECT_TRUE(h.host.stop_requested());
+}
+
+TEST(FrameHost, CloseConnectionsJoinsIdleReaders) {
+  CountingHost h;
+  util::Socket a = h.connect();
+  util::Socket b = h.connect();
+  EXPECT_EQ(ping(a), "1");  // both connection threads are now blocked
+  EXPECT_EQ(ping(b), "1");  // reading their next frame
+  h.host.stop_accepting();
+  EXPECT_TRUE(h.host.stopping());
+  EXPECT_EQ(ping(a), "2");  // live connections are still served
+  const auto t0 = std::chrono::steady_clock::now();
+  h.host.close_connections();
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count(),
+            1000);
+  Frame resp;
+  EXPECT_FALSE(read_frame(a, resp));
+  EXPECT_FALSE(read_frame(b, resp));
+}
+
+TEST(FrameHost, UnixDomainOnlyHostReportsNoPort) {
+  ListenConfig cfg;
+  cfg.port = -1;
+  cfg.unix_path = ::testing::TempDir() + "/atlas_frame_host_test.sock";
+  CountingHost h(cfg);
+  EXPECT_EQ(h.host.port(), -1);
+  util::Socket sock = util::connect_unix(cfg.unix_path);
+  EXPECT_EQ(ping(sock), "1");
+
+  ListenConfig none;
+  none.port = -1;
+  FrameHost idle;
+  EXPECT_THROW(idle.start(none, [] { return FrameHost::Handler(); }),
+               util::SocketError);
 }
 
 }  // namespace
